@@ -1,10 +1,9 @@
 """Exact sawtooth and Dedekind sums, and closed-form lens-space invariants.
 
 All arithmetic in this module is exact: values are ``fractions.Fraction``
-(arbitrary precision), never floats.  The sum s(q,p) runs over
-k = 1 .. |p|-1; for machine-sized p the inner loop is vectorized with
-integer numpy, for larger p a pure-integer loop is used, so results are
-exact in both paths.
+(arbitrary precision), never floats.  The Dedekind sum s(q,p) is defined
+by a sum over k = 1 .. |p|-1, but it is computed in O(log |p|) integer
+steps by the Euclid descent that the reciprocity law allows.
 """
 
 from __future__ import annotations
@@ -13,13 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 Rational = Fraction
-
-# Largest |p| routed through the int64 numpy path.  The accumulated sum is
-# bounded by |p|**3, which stays below 2**63 for |p| < 2**20.
-_NUMPY_LIMIT = 1 << 20
 
 __all__ = [
     "Rational",
@@ -49,29 +42,24 @@ def dedekind_sum(q: int, p: int) -> Fraction:
     """
     if p == 0:
         raise ValueError("dedekind_sum requires p != 0")
-    sign = 1 if p > 0 else -1
-    pp = abs(p)
-    qq = q % pp
-    if pp == 1 or qq == 0:
+    # s(q,p) = sign(p) s(q mod |p|, |p|), and s(gq, gb) = s(q, b).
+    b = abs(p)
+    a = q % b
+    g = math.gcd(a, b)
+    a, b = a // g, b // g
+    if a == 0:
         return Fraction(0)
-    # ((k/p))((kq/p)) = (2k - P)(2(kq mod P) - P) / (4 P^2) when P does not
-    # divide kq, with the two inner sign flips for p < 0 cancelling.
-    if pp < _NUMPY_LIMIT:
-        k = np.arange(1, pp, dtype=np.int64)
-        j = (k * qq) % pp
-        u = 2 * k - pp
-        v = np.where(j == 0, 0, 2 * j - pp)
-        total = int(np.dot(u, v))
-    else:
-        total = 0
-        j = 0
-        for k in range(1, pp):
-            j += qq
-            if j >= pp:
-                j -= pp
-            if j:
-                total += (2 * k - pp) * (2 * j - pp)
-    return Fraction(sign * total, 4 * pp * pp)
+    # U(a,b) = 12b s(a,b) is an integer.  Reciprocity gives
+    # a U(a,b) = a^2 + b^2 + 1 - 3ab - b U(b mod a, a), down to
+    # U(1,b) = (b-1)(b-2); descend like Euclid, then climb back up.
+    descent = []
+    while a > 1:
+        descent.append((a, b))
+        a, b = b % a, a
+    u = (b - 1) * (b - 2)
+    for a, b in reversed(descent):
+        u = (a * a + b * b + 1 - 3 * a * b - b * u) // a
+    return Fraction(u if p > 0 else -u, 12 * b)
 
 
 @dataclass(frozen=True)

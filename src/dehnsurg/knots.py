@@ -136,8 +136,13 @@ class SeifertMatrix:
 
     def mirror(self) -> "SeifertMatrix":
         """Seifert matrix of the mirror knot: -A^T."""
-        n = self.size
-        return SeifertMatrix(tuple(tuple(-self.entries[j][i] for j in range(n)) for i in range(n)))
+        # -A^T - (-A^T)^T = A - A^T: the mirror has this matrix's pairing,
+        # which is already known to be unimodular, so __init__'s
+        # determinant check is skipped.
+        mirrored = object.__new__(SeifertMatrix)
+        entries = tuple(tuple(-x for x in column) for column in zip(*self.entries))
+        object.__setattr__(mirrored, "entries", entries)
+        return mirrored
 
 
 @dataclass(frozen=True)

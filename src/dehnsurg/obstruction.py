@@ -242,13 +242,18 @@ def sweep(records, p_max: int, q_max: int) -> SweepReport:
     counts: Counter = Counter()
     bad = 0
     for record in records:
+        # distinguish moves negative pairs to the mirror; mirror once here.
+        mirrored = mirror_record(record)
         record_rows = []
         for p_signed in [p for p in range(-p_max, p_max + 1) if p != 0]:
             group = _slope_group(p_signed, q_max)
             for a in range(len(group)):
                 for b in range(a + 1, len(group)):
                     s1, s2 = group[a], group[b]
-                    verdict = distinguish(record, s1, s2)
+                    if p_signed < 0:
+                        verdict = distinguish(mirrored, s1.negated(), s2.negated())
+                    else:
+                        verdict = distinguish(record, s1, s2)
                     record_rows.append(
                         SweepRow(
                             record.name,

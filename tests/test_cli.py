@@ -17,6 +17,18 @@ def test_dedekind(capsys):
     assert code == 0 and out == "1/18\n"
 
 
+def test_dedekind_huge_p(capsys):
+    # s(1,p) = (p-1)(p-2)/(12p)
+    code, out, _ = run(capsys, "dedekind", "1", "1000000007")
+    assert code == 0 and out == "166666668500000005/2000000014\n"
+
+
+def test_dedekind_negative_non_coprime(capsys):
+    # s(6,-9) = -s(2,3) = 1/18
+    code, out, _ = run(capsys, "dedekind", "6", "-9")
+    assert code == 0 and out == "1/18\n"
+
+
 def test_lens(capsys):
     code, out, _ = run(capsys, "lens", "3", "1")
     assert code == 0 and out == "lambda=1/18 tau_cg=-2/3\n"

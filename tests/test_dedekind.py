@@ -1,9 +1,14 @@
 import math
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-import dehnsurg.dedekind as dd
+import dehnsurg
 from dehnsurg import (
     LensSpace,
     dedekind_sum,
@@ -20,6 +25,22 @@ def brute_dedekind_sum(q, p):
     for k in range(1, abs(p)):
         total += sawtooth(Fraction(k, p)) * sawtooth(Fraction(k * q, p))
     return (1 if p > 0 else -1) * total
+
+
+def loop_dedekind_sum(q, p):
+    """O(|p|) integer oracle: ((k/p))((kq/p)) = (2k - P)(2j - P) / (4P^2)
+    with P = |p| and j = kq mod P, for the k with P not dividing kq."""
+    pp = abs(p)
+    qq = q % pp
+    total = 0
+    j = 0
+    for k in range(1, pp):
+        j += qq
+        if j >= pp:
+            j -= pp
+        if j:
+            total += (2 * k - pp) * (2 * j - pp)
+    return Fraction((1 if p > 0 else -1) * total, 4 * pp * pp)
 
 
 def test_sawtooth_values():
@@ -50,14 +71,41 @@ def test_dedekind_matches_definitional_sum():
             continue
         for q in range(-10, 11):
             assert dedekind_sum(q, p) == brute_dedekind_sum(q, p), (q, p)
+    rng = random.Random(11)
+    for _ in range(30):
+        p = rng.randint(41, 2000) * rng.choice((1, -1))
+        q = rng.randint(-3 * abs(p), 3 * abs(p))
+        assert dedekind_sum(q, p) == brute_dedekind_sum(q, p), (q, p)
 
 
-def test_pure_integer_path_matches_numpy_path(monkeypatch):
-    cases = [(3, 7), (5, 12), (-4, 9), (7, -30), (11, 47)]
-    fast = [dedekind_sum(q, p) for q, p in cases]
-    monkeypatch.setattr(dd, "_NUMPY_LIMIT", 0)
-    slow = [dedekind_sum(q, p) for q, p in cases]
-    assert fast == slow
+def test_dedekind_matches_integer_loop_at_large_p():
+    # |p| log-uniform over 10^3 .. 3*10^6, across 2^20; both signs of p;
+    # q sharing a factor with p; |q| far beyond |p|.
+    rng = random.Random(12)
+    cases = []
+    for i in range(40):
+        pp = round(10 ** rng.uniform(3, math.log10(3e6)))
+        q = rng.randint(1, pp - 1)
+        if i % 4 == 1:
+            g = rng.choice((2, 3, 6, 10))
+            pp = g * max(pp // g, 2)
+            q = g * rng.randint(1, pp // g - 1)
+        elif i % 4 == 2:
+            q += rng.randint(10**9, 10**12) * pp + rng.randint(1, 10**6)
+        cases.append((q * rng.choice((1, -1)), pp * rng.choice((1, -1))))
+    assert any(abs(p) > 1 << 20 for _, p in cases)
+    assert any(abs(p) < 1 << 20 for _, p in cases)
+    assert {math.gcd(q, p) > 1 and p < 0 for q, p in cases} == {True, False}
+    assert {abs(q) > abs(p) and p > 0 for q, p in cases} == {True, False}
+    for q, p in cases:
+        assert dedekind_sum(q, p) == loop_dedekind_sum(q, p), (q, p)
+
+
+def test_import_does_not_load_numpy():
+    src = str(Path(dehnsurg.__file__).resolve().parent.parent)
+    code = "import sys, dehnsurg; sys.exit('numpy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0
 
 
 def test_periodicity_and_oddness():

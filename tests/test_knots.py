@@ -69,6 +69,17 @@ def test_alexander_examples():
     assert str(alexander_from_seifert(FIGURE_EIGHT)) == "-T + 3 - T^-1"
 
 
+def test_mirror_equals_validated_negative_transpose(corpus):
+    rng = random.Random(8)
+    matrices = [r.seifert for r in corpus if r.seifert is not None]
+    matrices += [random_seifert(rng, genus) for genus in range(1, 6)]
+    for a in matrices:
+        n = a.size
+        validated = SeifertMatrix([[-a.entries[j][i] for j in range(n)] for i in range(n)])
+        assert a.mirror() == validated
+        assert a.mirror().mirror() == a
+
+
 def test_alexander_normalization_invariants():
     rng = random.Random(5)
     for _ in range(40):

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,7 @@ from dehnsurg import (
     mirror_record,
     sweep,
 )
+from dehnsurg.obstruction import SweepRow
 from conftest import reduced_slopes
 
 
@@ -173,6 +175,20 @@ def test_sweep_counts_and_determinism(corpus_by_name):
     keys = [(r.p, r.q1, r.q2) for r in report1.rows]
     assert keys == sorted(keys)
     assert {r.p for r in report1.rows} == {p for p in range(-10, 11) if p != 0}
+
+
+def test_sweep_negative_rows_match_direct_distinguish(corpus):
+    # One record in an ambient manifold with nonzero Casson-Walker
+    # invariant, whose mirror differs from it in what distinguish reads.
+    poincare = ds.AmbientData(Fraction(2), "Sigma(2,3,5)")
+    records = corpus + [replace(corpus[1], name="in_poincare", ambient=poincare)]
+    by_name = {r.name: r for r in records}
+    negative = [row for row in sweep(records, 10, 10).rows if row.p < 0]
+    assert negative
+    for row in negative:
+        s1, s2 = (Slope(1, 0) if q == 0 else Slope(row.p, q) for q in (row.q1, row.q2))
+        v = distinguish(by_name[row.name], s1, s2)
+        assert row == SweepRow(row.name, row.p, row.q1, row.q2, v.tag, v.value1, v.value2)
 
 
 def test_sweep_figure_eight_never_inconclusive(corpus_by_name):
