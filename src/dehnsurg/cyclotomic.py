@@ -196,11 +196,7 @@ class FieldElement:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        a = a + (Fraction(0),) * (n - len(a))
-        b = b + (Fraction(0),) * (n - len(b))
-        return FieldElement(self.field, [x + y for x, y in zip(a, b)])
+        return FieldElement(self.field, _poly_add(self.coeffs, other.coeffs))
 
     __radd__ = __add__
 
@@ -220,16 +216,7 @@ class FieldElement:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return self.field.zero()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        out[i + j] += x * y
-        return FieldElement(self.field, out)
+        return FieldElement(self.field, _poly_mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 

@@ -111,6 +111,20 @@ def mirror_of(data: KnotFloerData) -> KnotFloerData:
     return KnotFloerData(data.g, ranks, s)
 
 
+def _gf2_rank(vectors) -> int:
+    """Rank over GF(2) of vectors given as integer bitmasks."""
+    pivots: dict[int, int] = {}
+    for vec in vectors:
+        while vec:
+            low = vec & -vec
+            other = pivots.get(low)
+            if other is None:
+                pivots[low] = vec
+                break
+            vec ^= other
+    return len(pivots)
+
+
 @dataclass(frozen=True)
 class ConeMatrix:
     """Truncated mapping-cone differential for one Spin^c class, over GF(2).
@@ -134,24 +148,7 @@ class ConeMatrix:
         return sum(self.a_dims)
 
     def rank(self) -> int:
-        pivots: dict[int, int] = {}
-        rank = 0
-        for vec in self.columns:
-            while vec:
-                low = vec & -vec
-                other = pivots.get(low)
-                if other is None:
-                    pivots[low] = vec
-                    rank += 1
-                    break
-                vec ^= other
-        return rank
-
-    def kernel_dim(self) -> int:
-        return self.n_cols - self.rank()
-
-    def cokernel_dim(self) -> int:
-        return self.n_rows - self.rank()
+        return _gf2_rank(self.columns)
 
     def homology_rank(self) -> int:
         r = self.rank()
@@ -265,14 +262,4 @@ def delta_dimension(data: KnotFloerData) -> int:
         rows.append(1)  # (1, 0, ..., 0) as a bitmask over the a_0 source
     if data.h_nonzero(0):
         rows.append(1)
-    pivots: dict[int, int] = {}
-    rank = 0
-    for vec in rows:
-        while vec:
-            low = vec & -vec
-            if low not in pivots:
-                pivots[low] = vec
-                rank += 1
-                break
-            vec ^= pivots[low]
-    return rank
+    return _gf2_rank(rows)

@@ -13,7 +13,15 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .cyclotomic import RealCyclotomicField, cyclotomic_polynomial
+from .cyclotomic import (
+    RealCyclotomicField,
+    _frac_divmod,
+    _poly_divexact,
+    _poly_mul,
+    _poly_sub,
+    _trim,
+    cyclotomic_polynomial,
+)
 
 __all__ = [
     "SeifertMatrix",
@@ -47,63 +55,40 @@ class NotLSpaceFormError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Determinants of small matrices with (polynomial) integer entries.
-# Entries are coefficient lists, low degree first; cofactor expansion with a
-# column-bitmask memo is plenty for the matrix sizes in scope.
-
-
-def _padd(a, b):
-    out = list(a) + [0] * max(0, len(b) - len(a))
-    for j, y in enumerate(b):
-        out[j] += y
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _pmul(a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    while out and out[-1] == 0:
-        out.pop()
-    return out
+# Determinants over Z[T], entries as coefficient lists, low degree first.
 
 
 def _poly_matrix_det(rows):
-    n = len(rows)
+    """Determinant by fraction-free Bareiss elimination (Bareiss, 1968).
+
+    After step k each trailing entry is a (k+1)-minor of the input, so the
+    division by the previous pivot is exact and entry degrees stay bounded
+    by the minor size: O(n^3) polynomial operations in all.
+    """
+    # Trim first: [0, 0] is truthy but is the zero polynomial, and a zero
+    # pivot must never be chosen.
+    m = [[_trim(list(entry)) for entry in row] for row in rows]
+    n = len(m)
     if n == 0:
         return [1]
-
-    memo = {}
-
-    def minor(i, mask):
-        if i == n:
-            return [1]
-        key = mask
-        if key in memo:
-            return memo[key]
-        total = []
-        sign = 1
-        for j in range(n):
-            bit = 1 << j
-            if mask & bit:
-                entry = rows[i][j]
-                if entry:
-                    term = _pmul(entry, minor(i + 1, mask & ~bit))
-                    if sign < 0:
-                        term = [-t for t in term]
-                    total = _padd(total, term)
-                sign = -sign
-        memo[key] = total
-        return total
-
-    return minor(0, (1 << n) - 1)
+    sign = 1
+    prev = [1]
+    for k in range(n - 1):
+        piv = next((i for i in range(k, n) if m[i][k]), None)
+        if piv is None:
+            return []
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        pivot, pivot_row = m[k][k], m[k]
+        for row in m[k + 1 :]:
+            lead = row[k]
+            for j in range(k + 1, n):
+                num = _poly_sub(_poly_mul(pivot, row[j]), _poly_mul(lead, pivot_row[j]))
+                row[j] = _poly_divexact(num, prev)
+        prev = pivot
+    det = m[n - 1][n - 1]
+    return det if sign > 0 else [-c for c in det]
 
 
 @dataclass(frozen=True)
@@ -261,17 +246,7 @@ def delta2_at_one(poly: SymLaurentPoly) -> int:
 
 def _alexander_vanishes_at(poly: SymLaurentPoly, d: int) -> bool:
     """Exact test of poly(xi) = 0 for xi a primitive d-th root of unity."""
-    coeffs = poly.as_int_poly()
-    phi = list(cyclotomic_polynomial(d))
-    # Remainder of an integer polynomial modulo the monic Phi_d.
-    work = list(coeffs)
-    while len(work) >= len(phi):
-        c = work[-1]
-        if c:
-            for j, y in enumerate(phi[:-1]):
-                work[len(work) - len(phi) + j] -= c * y
-        work.pop()
-    return not any(work)
+    return not _frac_divmod(poly.as_int_poly(), cyclotomic_polynomial(d))[1]
 
 
 @lru_cache(maxsize=None)

@@ -12,6 +12,8 @@ positive pairs on the mirror record before anything else happens.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 from collections import Counter
@@ -31,7 +33,7 @@ from .knots import (
     parse_lspace_form,
     sigma_total,
 )
-from .surgery import AmbientData, Slope, casson_walker_surgered
+from .surgery import AmbientData, Slope, casson_gordon_surgered, casson_walker_surgered
 
 __all__ = [
     "DIFFERENT_HOMOLOGY",
@@ -178,8 +180,7 @@ def full_invariants(record: KnotRecord, slope: Slope):
     lam = casson_walker_surgered(record.ambient, record.delta2, slope)
     tau = None
     if record.seifert is not None:
-        sig = sigma_total(record.seifert, abs(slope.p))
-        tau = -4 * slope.p * dedekind_sum(slope.q, slope.p) - sig
+        tau = casson_gordon_surgered(sigma_total(record.seifert, abs(slope.p)), slope)
     rank = None
     if record.hf is not None:
         if slope.is_infinite:
@@ -206,12 +207,15 @@ class SweepReport:
     counts: dict
     nontrivial_inconclusive: int
 
-    def csv_lines(self):
-        yield "name,p,q1,q2,tag,witness1,witness2"
-        for r in self.rows:
-            w1 = "" if r.witness1 is None else str(r.witness1)
-            w2 = "" if r.witness2 is None else str(r.witness2)
-            yield f"{r.name},{r.p},{r.q1},{r.q2},{r.tag},{w1},{w2}"
+    def csv_lines(self) -> list[str]:
+        """The report as CSV lines without terminators; a field is quoted
+        only when it holds a comma, a quote or a line break, and a missing
+        witness is an empty field."""
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(("name", "p", "q1", "q2", "tag", "witness1", "witness2"))
+        writer.writerows((r.name, r.p, r.q1, r.q2, r.tag, r.witness1, r.witness2) for r in self.rows)
+        return out.getvalue().split("\n")[:-1]
 
 
 def _slope_group(p_signed: int, q_max: int):
@@ -282,10 +286,13 @@ def bundled_corpus_path() -> Path:
     return Path(resources.files("dehnsurg").joinpath("data", "knots.json"))
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; JSON true and false load as Python bools, which are ints."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_fraction(value) -> Fraction:
-    if isinstance(value, str):
-        return Fraction(value)
-    if isinstance(value, int):
+    if isinstance(value, str) or _is_int(value):
         return Fraction(value)
     raise ValueError(f"expected an integer or 'a/b' string, got {value!r}")
 
@@ -308,9 +315,14 @@ def _record_from_dict(raw: dict, context: str) -> KnotRecord:
     alexander = None
     if "alexander" in raw:
         spec = raw["alexander"]
+        if not isinstance(spec, dict) or "a0" not in spec:
+            fail("bad alexander polynomial: need an object with an 'a0' entry")
+        a0, higher = spec["a0"], spec.get("a", [])
+        if not _is_int(a0) or not isinstance(higher, list) or not all(map(_is_int, higher)):
+            fail("bad alexander polynomial: 'a0' must be an integer and 'a' a list of integers")
         try:
-            alexander = SymLaurentPoly(spec["a0"], spec.get("a", ()))
-        except (TypeError, KeyError, ValueError) as e:
+            alexander = SymLaurentPoly(a0, higher)
+        except ValueError as e:
             fail(f"bad alexander polynomial: {e}")
     if seifert is None and alexander is None:
         fail("need at least one of 'seifert_matrix' or 'alexander'")
@@ -330,15 +342,25 @@ def _record_from_dict(raw: dict, context: str) -> KnotRecord:
             fail(f"bad hf data: {e}")
     tau = raw.get("tau")
     nu = raw.get("nu")
+    for key, value in (("tau", tau), ("nu", nu)):
+        if value is not None and not _is_int(value):
+            fail(f"'{key}' must be an integer, got {value!r}")
+    ambient_name = raw.get("ambient", "S3")
+    if not isinstance(ambient_name, str):
+        fail(f"'ambient' must be a string, got {ambient_name!r}")
+    trivial = raw.get("trivial", False)
+    if not isinstance(trivial, bool):
+        fail(f"'trivial' must be true or false, got {trivial!r}")
     if hf is not None:
         model_nu = nu_of(hf)
         if nu is not None and nu != model_nu:
             fail(f"declared nu = {nu} but the hf data has nu = {model_nu}")
         if tau is not None and model_nu not in (tau, tau + 1):
             fail(f"nu = {model_nu} violates the bracket {{tau, tau+1}} for tau = {tau}")
-    ambient = AmbientData(
-        _parse_fraction(raw.get("lambda_ambient", 0)), raw.get("ambient", "S3")
-    )
+    try:
+        ambient = AmbientData(_parse_fraction(raw.get("lambda_ambient", 0)), ambient_name)
+    except (ValueError, ZeroDivisionError) as e:
+        fail(f"bad lambda_ambient: {e}")
     return KnotRecord(
         name=name,
         alexander=alexander,
@@ -347,7 +369,7 @@ def _record_from_dict(raw: dict, context: str) -> KnotRecord:
         ambient=ambient,
         tau=tau,
         nu=nu,
-        trivial=bool(raw.get("trivial", False)),
+        trivial=trivial,
     )
 
 

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 import dehnsurg as ds
@@ -257,3 +259,37 @@ def test_sweep_exit_code_on_inconclusive(tmp_path, capsys):
     )
     assert code == 1
     assert "inconclusive" in err.lower()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("trivial", "no"),
+        ("trivial", 1),
+        ("tau", "zz"),
+        ("tau", False),
+        ("nu", False),
+        ("nu", "0"),
+        ("nu", 0.0),
+        ("alexander", {"a0": True}),
+        ("alexander", {"a0": "1"}),
+        ("alexander", {"a0": -1, "a": ["1"]}),
+        ("alexander", {"a0": -1, "a": [True]}),
+        ("alexander", {"a0": 1, "a": "0"}),
+        ("alexander", [1]),
+        ("ambient", 3),
+        ("lambda_ambient", True),
+        ("lambda_ambient", "1/0"),
+    ],
+)
+def test_sweep_rejects_mistyped_record_fields(tmp_path, capsys, field, value):
+    record = {"name": "k", "alexander": {"a0": 1}, "hf": {"g": 0, "a": [1], "v_threshold": 0}}
+    record[field] = value
+    corpus = tmp_path / "bad.json"
+    corpus.write_text(json.dumps([record]))
+    code, out, err = run(
+        capsys, "sweep", "--knot", str(corpus), "--pmax", "2", "--qmax", "2", "--out", str(tmp_path / "r.csv")
+    )
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {corpus}: record 0 (k): "), err

@@ -1,4 +1,5 @@
 import random
+import time
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from dehnsurg import (
     sigma_total,
     tl_signature,
 )
+from dehnsurg.knots import _poly_matrix_det
 
 TREFOIL = SeifertMatrix([[-1, 1], [0, -1]])
 FIGURE_EIGHT = SeifertMatrix([[1, 1], [0, -1]])
@@ -37,6 +39,58 @@ def random_seifert(rng, genus):
             if j != i:
                 a[j][i] += s
     return SeifertMatrix(a)
+
+
+def _padd(a, b):
+    out = list(a) + [0] * max(0, len(b) - len(a))
+    for j, y in enumerate(b):
+        out[j] += y
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _pmul(a, b):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] += x * y
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def cofactor_det(rows):
+    """Test-only oracle: determinant over Z[T] by cofactor expansion along
+    rows, with a memo on the set of columns still free (exponential)."""
+    n = len(rows)
+    memo = {}
+
+    def minor(i, mask):
+        if i == n:
+            return [1]
+        if mask in memo:
+            return memo[mask]
+        total = []
+        sign = 1
+        for j in range(n):
+            bit = 1 << j
+            if mask & bit:
+                entry = rows[i][j]
+                if entry:
+                    term = _pmul(entry, minor(i + 1, mask & ~bit))
+                    if sign < 0:
+                        term = [-t for t in term]
+                    total = _padd(total, term)
+                sign = -sign
+        memo[mask] = total
+        return total
+
+    return minor(0, (1 << n) - 1)
 
 
 def float_signature(matrix, r, m):
@@ -219,3 +273,49 @@ def test_delta2_nonzero_for_nonempty_forms():
     for k in range(1, 10):
         for combo in combinations(range(1, 10), k):
             assert delta2_from_form(LSpaceForm(combo)) != 0
+
+
+def test_bareiss_det_matches_cofactor_oracle():
+    rng = random.Random(31)
+    coeffs = (0, 0, 0, 1, -1, 2, -3)
+    for trial in range(160):
+        n = trial % 11
+        rows = [
+            [[rng.choice(coeffs) for _ in range(rng.randint(0, 3))] for _ in range(n)]
+            for _ in range(n)
+        ]
+        if n and trial % 4 == 1:
+            # zero leading columns, some written as untrimmed zero polynomials,
+            # force row swaps
+            for row in rows:
+                row[0] = [0, 0] if rng.random() < 0.5 else []
+            if n > 1:
+                rows[rng.randrange(n)][0] = [rng.choice((1, -2)), 1]
+        if n > 1 and trial % 4 == 2:
+            rows[-1] = [list(e) for e in rows[0]]  # singular: repeated row
+        assert _poly_matrix_det(rows) == cofactor_det(rows), rows
+    assert _poly_matrix_det([]) == [1]
+    assert _poly_matrix_det([[[0, 0], [1]], [[2], [0]]]) == [-2]
+
+
+def test_alexander_matches_cofactor_oracle(corpus):
+    rng = random.Random(32)
+    matrices = [r.seifert for r in corpus if r.seifert is not None]
+    matrices += [random_seifert(rng, genus) for genus in range(1, 6) for _ in range(3)]
+    for a in matrices:
+        e, n = a.entries, a.size
+        c = cofactor_det([[[e[i][j], -e[j][i]] for j in range(n)] for i in range(n)])
+        c += [0] * (n + 1 - len(c))  # det(A - T A^T) = T^(n/2) * Delta(T)
+        half = n // 2
+        assert alexander_from_seifert(a) == SymLaurentPoly(c[half], c[half + 1 :]), e
+
+
+def test_genus_ten_seifert_matrix_finishes_quickly():
+    rng = random.Random(33)
+    start = time.perf_counter()
+    a = random_seifert(rng, 10)
+    poly = alexander_from_seifert(a)
+    elapsed = time.perf_counter() - start
+    assert a.size == 20
+    assert poly.a0 + 2 * sum(poly.higher) == 1
+    assert elapsed < 5.0, elapsed

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 from dataclasses import replace
@@ -202,6 +203,15 @@ def test_sweep_csv_shape(corpus_by_name):
     lines = list(report.csv_lines())
     assert lines[0] == "name,p,q1,q2,tag,witness1,witness2"
     assert all(line.count(",") == 6 for line in lines)
+
+
+def test_sweep_csv_quotes_names_with_commas(corpus_by_name):
+    record = replace(corpus_by_name["trefoil_right"], name="a,b")
+    lines = sweep(record, 3, 3).csv_lines()
+    rows = list(csv.reader(lines))
+    assert len(rows) == len(lines) > 1
+    assert all(len(row) == 7 for row in rows)
+    assert all(row[0] == "a,b" for row in rows[1:])
 
 
 def test_full_invariants_values(corpus_by_name):
