@@ -1,20 +1,24 @@
-"""Exact arithmetic in real cyclotomic fields Q(2cos(2pi/N)).
+"""Exact polynomial helpers, cyclotomic polynomials and real cyclotomic
+fields Q(2cos(2pi/N)).
+
+The polynomial helpers and minimal polynomials serve the rest of the
+package.  The fields are off its runtime path: signatures come from
+`knots`, and the tests check them against an exact computation over these
+fields.
 
 Field elements are polynomials in u = 2cos(2pi/N) reduced modulo the
 minimal polynomial of u, with Fraction coefficients, so comparison with
 zero is decided exactly.  Signs of nonzero elements are certified by
 evaluating the polynomial on a shrinking rational interval enclosure of u;
-the enclosure comes from mpmath's validated interval cosine and every
-subsequent interval operation is exact over Fractions, so a verdict is
-never the product of rounding.
+the enclosure comes from mpmath's validated interval cosine (imported on
+first use) and every subsequent interval operation is exact over
+Fractions, so a verdict is never the product of rounding.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-
-import mpmath
 
 __all__ = [
     "RealCyclotomicField",
@@ -161,6 +165,8 @@ def _generator_enclosure(n: int, prec: int) -> tuple[Fraction, Fraction]:
     A fresh interval context keeps the working precision local, so
     concurrent callers never observe each other's settings.
     """
+    import mpmath
+
     ctx = mpmath.ctx_iv.MPIntervalContext()
     ctx.prec = prec
     x = 2 * ctx.cos(2 * ctx.pi / n)

@@ -1,25 +1,27 @@
 """Knot invariants from Seifert matrices.
 
 Covers the normalized symmetric Alexander polynomial, its second derivative
-at 1, Tristram-Levine signatures at roots of unity (exact, via real
-cyclotomic field arithmetic with certified pivot signs), the total
-signature sum, and recognition of the Alexander-polynomial shape forced by
-L-space surgeries.
+at 1, Tristram-Levine signatures at roots of unity (exact: constant on the
+arcs between roots of the Alexander polynomial, which Sturm sequences
+isolate, with one rational LDL per arc), the total signature sum, and
+recognition of the Alexander-polynomial shape forced by L-space surgeries.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 from .cyclotomic import (
-    RealCyclotomicField,
     _frac_divmod,
+    _poly_add,
     _poly_divexact,
     _poly_mul,
     _poly_sub,
     _trim,
+    cos_minimal_polynomial,
     cyclotomic_polynomial,
 )
 
@@ -249,50 +251,216 @@ def _alexander_vanishes_at(poly: SymLaurentPoly, d: int) -> bool:
     return not _frac_divmod(poly.as_int_poly(), cyclotomic_polynomial(d))[1]
 
 
+# ---------------------------------------------------------------------------
+# Tristram-Levine signatures.  On the unit circle the signature changes only
+# where Delta vanishes, so it is constant on each arc between roots of
+# Delta.  For xi = e^(i theta) with 0 < theta < pi, put t = tan(theta/2) and
+# u = t^2: then 2cos(theta) = 2(1 - u)/(1 + u), which maps theta increasingly
+# onto u in (0, inf), so the arcs are the intervals between the positive
+# roots of an integer polynomial in u, and Sturm sequences isolate them.
+
+
+def _in_u(poly_x) -> list:
+    """(1 + u)^deg * f(2(1 - u)/(1 + u)) for f a polynomial in x = 2cos(theta)."""
+    deg = len(poly_x) - 1
+    out: list = []
+    for i, c in enumerate(poly_x):
+        if c:
+            term = [c << i]
+            for _ in range(i):
+                term = _poly_mul(term, [1, -1])
+            for _ in range(deg - i):
+                term = _poly_mul(term, [1, 1])
+            out = _poly_add(out, term)
+    return out
+
+
+def _alexander_in_two_cos(poly: SymLaurentPoly) -> list:
+    """Delta(e^(i theta)) as an integer polynomial in x = 2cos(theta), from
+    2cos(j theta) = x * 2cos((j-1) theta) - 2cos((j-2) theta)."""
+    out = [poly.a0]
+    prev, cur = [2], [0, 1]
+    for c in poly.higher:
+        out = _poly_add(out, [c * x for x in cur])
+        prev, cur = cur, _poly_sub(_poly_mul([0, 1], cur), prev)
+    return out
+
+
+def _primitive(p) -> tuple:
+    """The positive multiple of a rational polynomial with coprime integer
+    coefficients: signs, and so Sturm counts, are unchanged."""
+    p = [Fraction(c) for c in p]
+    den = math.lcm(*(c.denominator for c in p))
+    ints = [int(c * den) for c in p]
+    g = math.gcd(*ints)
+    return tuple(c // g for c in ints)
+
+
+def _sturm(p) -> tuple:
+    """Sturm sequence of the squarefree part of a nonzero polynomial p."""
+    p = _primitive(p)
+    if len(p) < 2:
+        return (p,)
+    seq = [p, _primitive([i * c for i, c in enumerate(p)][1:])]
+    while True:
+        rem = _frac_divmod(seq[-2], seq[-1])[1]
+        if not rem:
+            break
+        seq.append(_primitive([-c for c in rem]))
+    if len(seq[-1]) > 1:  # the last entry is gcd(p, p'): p has repeated roots
+        return _sturm(_frac_divmod(p, seq[-1])[0])
+    return tuple(seq)
+
+
+def _homogeneous(p, x: Fraction) -> int:
+    """b^deg * p(a/b) for x = a/b: an integer with the sign of p(x)."""
+    a, b = x.numerator, x.denominator
+    v, bpow = 0, 1
+    for c in reversed(p):
+        v = v * a + c * bpow
+        bpow *= b
+    return v
+
+
+def _variations(seq, x: Fraction | None) -> int:
+    """Sign changes along the sequence at x, or at +infinity for None."""
+    if x is None:
+        values = [p[-1] for p in seq]
+    else:
+        values = [v for v in (_homogeneous(p, x) for p in seq) if v]
+    return sum((s > 0) != (t > 0) for s, t in zip(values, values[1:]))
+
+
+def _roots_upto(seq, x: Fraction | None) -> int:
+    """Number of distinct roots in (0, x], or in (0, inf) for None.  Exact
+    for a squarefree sequence even when 0 or x is itself a root."""
+    return _variations(seq, Fraction(0)) - _variations(seq, x)
+
+
+def _root_bound(seq) -> Fraction:
+    """An integer above every root (Cauchy's bound)."""
+    p = seq[0]
+    return Fraction(2 + max(map(abs, p[:-1]), default=0) // abs(p[-1]))
+
+
 @lru_cache(maxsize=None)
-def _tl_signature_cached(entries, r, m):
-    a = entries
-    n = len(a)
-    if n == 0:
-        return 0
-    g = math.gcd(r, m)
-    d = m // g
-    rp = r // g
+def _jumps(entries):
+    """(Delta, the Sturm sequence of D, the number of jumps in (0, pi)),
+    where D(u) = (1 + u)^deg * Delta(e^(i theta)).  D(0) = Delta(1) = 1 and
+    the top coefficient of D is Delta(-1) != 0, so the jumps are exactly
+    the positive roots of D."""
     poly = alexander_from_seifert(SeifertMatrix(entries))
-    if _alexander_vanishes_at(poly, d):
-        raise SingularValueError(r, m)
-    # A(xi) = (1-conj(xi))A + (1-xi)A^T is Hermitian for |xi| = 1 with
-    # real part (1-cos)(A+A^T) and imaginary part sin*(A-A^T).  Its inertia
-    # is half that of the real symmetric matrix [[2Re, -2Im], [2Im, 2Re]],
-    # whose entries live in Q(2cos(pi/(2d))).
-    field = RealCyclotomicField(4 * d)
-    two_cos = field.two_cos_multiple(4 * rp)
-    two_sin = field.two_cos_multiple(d - 4 * rp)
-    re_coef = field.scalar(2) - two_cos  # 2(1 - cos)
-    zero = field.zero()
-    big = [[zero] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        for j in range(n):
-            sym = a[i][j] + a[j][i]
-            skew = a[i][j] - a[j][i]
-            re = re_coef * sym if sym else zero
-            im = two_sin * skew if skew else zero
-            big[i][j] = re
-            big[n + i][n + j] = re
-            big[i][n + j] = -im
-            big[n + i][j] = im
+    seq = _sturm(_in_u(_alexander_in_two_cos(poly)))
+    return poly, seq, _roots_upto(seq, None)
+
+
+@lru_cache(maxsize=None)
+def _cos_sturm(d: int) -> tuple:
+    """Sturm sequence, in u, of the minimal polynomial P of 2cos(2pi/d),
+    d >= 3.  P's roots tan^2(pi k/d), 0 < k < d/2 with gcd(k, d) = 1, are
+    simple and increase with k."""
+    return _sturm(_in_u(cos_minimal_polynomial(d)))
+
+
+def _arc_of(seq, k: int, d: int) -> int:
+    """The arc holding u = tan^2(pi k/d), 0 < k < d/2 and D(u) != 0: the
+    number of roots of D below u.
+
+    A float proposes a rational interval around u, used only once Sturm
+    counts prove it holds exactly the root of P that u is (the one of rank
+    j).  Bisection steered by the same counts then shrinks the interval
+    until it holds no root of D.
+    """
+    pseq = _cos_sturm(d)
+    j = sum(1 for i in range(1, k) if math.gcd(i, d) == 1)
+    guess = Fraction(math.tan(math.pi * k / d) ** 2)
+    lo, hi = guess * (1 - Fraction(1, 1 << 30)), guess * (1 + Fraction(1, 1 << 30))
+    p_lo, p_hi = _roots_upto(pseq, lo), _roots_upto(pseq, hi)
+    if (p_lo, p_hi) != (j, j + 1):
+        lo, hi = Fraction(0), _root_bound(pseq)
+        p_lo, p_hi = 0, _roots_upto(pseq, None)
+    # Invariant: p_lo <= j < p_hi, so u is in (lo, hi].
+    d_lo, d_hi = _roots_upto(seq, lo), _roots_upto(seq, hi)
+    while (p_lo, p_hi) != (j, j + 1) or d_lo != d_hi:
+        mid = (lo + hi) / 2
+        p_mid, d_mid = _roots_upto(pseq, mid), _roots_upto(seq, mid)
+        if p_mid > j:
+            hi, p_hi, d_hi = mid, p_mid, d_mid
+        else:
+            lo, p_lo, d_lo = mid, p_mid, d_mid
+    return d_lo
+
+
+def _arc_point(seq, arc: int) -> Fraction:
+    """The canonical t of an arc below the last one: bisect (0, top], top a
+    power of two with top^2 above every root, until a midpoint's square
+    lies strictly inside the arc."""
+    lo, hi, bound = Fraction(0), Fraction(1), _root_bound(seq)
+    while hi * hi < bound:
+        hi *= 2
+    while True:
+        t = (lo + hi) / 2
+        u = t * t
+        n = _roots_upto(seq, u)
+        if n > arc:
+            hi = t
+        elif n < arc or not _homogeneous(seq[0], u):  # u is the arc's left end
+            lo = t
+        else:
+            return t
+
+
+@lru_cache(maxsize=None)
+def _arc_signature(entries, arc: int) -> int:
+    """The signature on one arc, from one exact LDL at its canonical point.
+
+    Below the last arc, H(xi)/sin(theta) = tS + iK with S = A + A^T and
+    K = A - A^T; its signature is half that of the real symmetric
+    [[tS, -K], [K, tS]], scaled here by t's denominator.  The last arc
+    holds xi = -1, where H = 2S.
+    """
+    _, seq, jumps = _jumps(entries)
+    n = len(entries)
+    sym = [[entries[i][j] + entries[j][i] for j in range(n)] for i in range(n)]
+    if arc == jumps:
+        big, half = sym, 1
+    else:
+        t = _arc_point(seq, arc)
+        a, b = t.numerator, t.denominator
+        big = [[0] * (2 * n) for _ in range(2 * n)]
+        for i in range(n):
+            for j in range(n):
+                skew = b * (entries[i][j] - entries[j][i])
+                big[i][j] = big[n + i][n + j] = a * sym[i][j]
+                big[i][n + j] = -skew
+                big[n + i][j] = skew
+        half = 2
     pos, neg, null = _symmetric_inertia(big)
     if null != 0:
         raise ArithmeticError("singular Hermitian matrix despite nonzero Alexander value")
-    return (pos - neg) // 2
+    return (pos - neg) // half
+
+
+@lru_cache(maxsize=None)
+def _tl_signature_cached(entries, r, m):
+    if not entries:
+        return 0
+    g = math.gcd(r, m)
+    d = m // g
+    k = min(r // g, d - r // g)  # xi and its conjugate have one signature
+    poly, seq, jumps = _jumps(entries)
+    if _alexander_vanishes_at(poly, d):
+        raise SingularValueError(r, m)
+    arc = jumps if jumps == 0 or 2 * k == d else _arc_of(seq, k, d)
+    return _arc_signature(entries, arc)
 
 
 def tl_signature(matrix: SeifertMatrix, r: int, m: int) -> int:
     """Tristram-Levine signature at xi = exp(2*pi*i*r/m), 0 < r < m.
 
-    Exact: pivot signs in the congruence reduction are certified field
-    computations.  Raises SingularValueError when the Alexander polynomial
-    vanishes at xi.
+    Exact: xi is placed on its arc between jumps by Sturm counts, and the
+    arc's signature comes from pivot signs of a rational LDL.  Raises
+    SingularValueError when the Alexander polynomial vanishes at xi.
     """
     if not 0 < r < m:
         raise ValueError("need 0 < r < m")
@@ -307,28 +475,28 @@ def sigma_total(matrix: SeifertMatrix, m: int) -> int:
 
 
 def _symmetric_inertia(m):
-    """Inertia (pos, neg, zero) of a symmetric matrix of field elements, by
-    congruence reduction with exact pivots and hyperbolic pairs."""
+    """Inertia (pos, neg, zero) of a symmetric rational matrix, by congruence
+    reduction with exact Fraction pivots and hyperbolic pairs."""
+    m = [[Fraction(x) for x in row] for row in m]
     pos = neg = zero = 0
     while m:
         size = len(m)
-        piv = next((i for i in range(size) if not m[i][i].is_zero()), None)
+        piv = next((i for i in range(size) if m[i][i]), None)
         if piv is not None:
             d = m[piv][piv]
-            if d.sign() > 0:
+            if d > 0:
                 pos += 1
             else:
                 neg += 1
-            dinv = d.inverse()
             rest = [k for k in range(size) if k != piv]
-            col = [m[k][piv] * dinv for k in rest]
+            col = [m[k][piv] / d for k in rest]
             m = [
-                [m[a][b] - col[ia] * m[piv][b] for b in rest]
-                for ia, a in enumerate(rest)
+                [m[a][b] - c * m[piv][b] for b in rest] if c else [m[a][b] for b in rest]
+                for a, c in zip(rest, col)
             ]
             continue
         pair = next(
-            ((i, j) for i in range(size) for j in range(i + 1, size) if not m[i][j].is_zero()),
+            ((i, j) for i in range(size) for j in range(i + 1, size) if m[i][j]),
             None,
         )
         if pair is None:
@@ -337,10 +505,10 @@ def _symmetric_inertia(m):
         i, j = pair
         pos += 1
         neg += 1
-        binv = m[i][j].inverse()
+        b = m[i][j]
         rest = [k for k in range(size) if k not in (i, j)]
-        ci = [m[k][i] * binv for k in rest]
-        cj = [m[k][j] * binv for k in rest]
+        ci = [m[k][i] / b for k in rest]
+        cj = [m[k][j] / b for k in rest]
         m = [
             [m[a][b] - ci[ia] * m[j][b] - cj[ia] * m[i][b] for b in rest]
             for ia, a in enumerate(rest)

@@ -7,7 +7,8 @@ then the Casson-Gordon comparison (the knot signature term cancels for
 equal p, so no signatures are ever computed here), then Casson-Walker via
 the second derivative of the Alexander polynomial, then hat-homology ranks
 when knot Floer data is present.  Negative slope pairs are rewritten as
-positive pairs on the mirror record before anything else happens.
+positive pairs on the mirror knot before anything else happens; of its
+record only the ambient data and the knot Floer data change.
 """
 
 from __future__ import annotations
@@ -101,14 +102,22 @@ class KnotRecord:
         return delta2_at_one(self.alexander)
 
 
+def _mirrored_data(record: KnotRecord) -> tuple[AmbientData, KnotFloerData | None]:
+    """The ambient data and knot Floer data of the mirror knot: the only
+    inputs of distinguish that mirroring changes."""
+    hf = mirror_of(record.hf) if record.hf is not None else None
+    return record.ambient.negated(), hf
+
+
 def mirror_record(record: KnotRecord) -> KnotRecord:
     """Record of the mirror knot in the orientation-reversed ambient manifold."""
+    ambient, hf = _mirrored_data(record)
     return replace(
         record,
         name=f"mirror({record.name})",
         seifert=record.seifert.mirror() if record.seifert is not None else None,
-        hf=mirror_of(record.hf) if record.hf is not None else None,
-        ambient=record.ambient.negated(),
+        hf=hf,
+        ambient=ambient,
         tau=-record.tau if record.tau is not None else None,
         nu=None,
     )
@@ -137,9 +146,10 @@ def distinguish(record: KnotRecord, s1: Slope, s2: Slope) -> Verdict:
     knot with positive slopes, so reported witnesses are the invariants of
     the mirrored surgeries.
     """
-    sign = _check_pair(s1, s2)
-    if sign < 0:
-        return distinguish(mirror_record(record), s1.negated(), s2.negated())
+    ambient, hf = record.ambient, record.hf
+    if _check_pair(s1, s2) < 0:
+        ambient, hf = _mirrored_data(record)
+        s1, s2 = s1.negated(), s2.negated()
     if abs(s1.p) != abs(s2.p):
         return Verdict(DIFFERENT_HOMOLOGY, abs(s1.p), abs(s2.p))
     p = s1.p
@@ -149,14 +159,14 @@ def distinguish(record: KnotRecord, s1: Slope, s2: Slope) -> Verdict:
         return Verdict(BY_CASSON_GORDON, -4 * p * d1, -4 * p * d2)
     delta2 = record.delta2
     if delta2 != 0:
-        lam1 = casson_walker_surgered(record.ambient, delta2, s1)
-        lam2 = casson_walker_surgered(record.ambient, delta2, s2)
+        lam1 = casson_walker_surgered(ambient, delta2, s1)
+        lam2 = casson_walker_surgered(ambient, delta2, s2)
         return Verdict(BY_CASSON_WALKER, lam1, lam2)
-    if record.hf is not None:
+    if hf is not None:
         # Infinite surgery returns the ambient integral homology L-space,
         # whose hat homology has rank 1.
-        r1 = 1 if s1.is_infinite else rank_formula(record.hf, s1)
-        r2 = 1 if s2.is_infinite else rank_formula(record.hf, s2)
+        r1 = 1 if s1.is_infinite else rank_formula(hf, s1)
+        r2 = 1 if s2.is_infinite else rank_formula(hf, s2)
         if r1 != r2:
             return Verdict(BY_HF_RANK, r1, r2)
     try:
@@ -308,9 +318,14 @@ def _record_from_dict(raw: dict, context: str) -> KnotRecord:
         fail("missing or empty 'name'")
     seifert = None
     if "seifert_matrix" in raw:
+        rows = raw["seifert_matrix"]
+        if not isinstance(rows, list) or not all(
+            isinstance(row, list) and all(map(_is_int, row)) for row in rows
+        ):
+            fail("bad seifert_matrix: need a list of rows of integers")
         try:
-            seifert = SeifertMatrix(raw["seifert_matrix"])
-        except (TypeError, ValueError) as e:
+            seifert = SeifertMatrix(rows)
+        except ValueError as e:
             fail(f"bad seifert_matrix: {e}")
     alexander = None
     if "alexander" in raw:
@@ -336,9 +351,16 @@ def _record_from_dict(raw: dict, context: str) -> KnotRecord:
         alexander = derived
     hf = None
     if "hf" in raw:
+        spec = raw["hf"]
+        if not isinstance(spec, dict):
+            fail("bad hf data: need a JSON object")
+        ranks = spec.get("a", [])
+        scalars = [spec[key] for key in ("g", "v_threshold") if key in spec]
+        if not all(map(_is_int, scalars)) or not isinstance(ranks, list) or not all(map(_is_int, ranks)):
+            fail("bad hf data: 'g' and 'v_threshold' must be integers and 'a' a list of integers")
         try:
-            hf = KnotFloerData.from_json_dict(raw["hf"])
-        except (TypeError, ValueError) as e:
+            hf = KnotFloerData.from_json_dict(spec)
+        except ValueError as e:
             fail(f"bad hf data: {e}")
     tau = raw.get("tau")
     nu = raw.get("nu")

@@ -280,6 +280,14 @@ def test_sweep_exit_code_on_inconclusive(tmp_path, capsys):
         ("ambient", 3),
         ("lambda_ambient", True),
         ("lambda_ambient", "1/0"),
+        ("seifert_matrix", [["-1", True], [False, -1]]),
+        ("seifert_matrix", [["0", True], [False, 0]]),
+        ("seifert_matrix", [[0, 1.0], [0, 0]]),
+        ("seifert_matrix", "[[0, 1], [0, 0]]"),
+        ("hf", {"g": "1", "a": [1, "1", True], "v_threshold": "1"}),
+        ("hf", {"g": 0, "a": [True], "v_threshold": 0}),
+        ("hf", {"g": 0, "a": [1], "v_threshold": False}),
+        ("hf", [0, [1], 0]),
     ],
 )
 def test_sweep_rejects_mistyped_record_fields(tmp_path, capsys, field, value):

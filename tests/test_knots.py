@@ -1,8 +1,15 @@
+import math
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import dehnsurg
 
 from dehnsurg import (
     LSpaceForm,
@@ -17,6 +24,7 @@ from dehnsurg import (
     sigma_total,
     tl_signature,
 )
+from dehnsurg.cyclotomic import RealCyclotomicField
 from dehnsurg.knots import _poly_matrix_det
 
 TREFOIL = SeifertMatrix([[-1, 1], [0, -1]])
@@ -103,6 +111,84 @@ def float_signature(matrix, r, m):
     h = (1 - np.conj(xi)) * a + (1 - xi) * a.T
     ev = np.linalg.eigvalsh(h)
     return int((ev > 0).sum() - (ev < 0).sum()), float(np.abs(ev).min())
+
+
+def field_signature(entries, r, m):
+    """Test-only exact oracle, the package's former signature path: the
+    inertia of the Hermitian form over Q(2cos(pi/(2d))), with certified
+    pivot signs.  None where the form is singular, which is exactly where
+    the Alexander polynomial vanishes at xi."""
+    a = entries
+    n = len(a)
+    if n == 0:
+        return 0
+    g = math.gcd(r, m)
+    d = m // g
+    rp = r // g
+    # A(xi) = (1-conj(xi))A + (1-xi)A^T is Hermitian for |xi| = 1 with
+    # real part (1-cos)(A+A^T) and imaginary part sin*(A-A^T).  Its inertia
+    # is half that of the real symmetric matrix [[2Re, -2Im], [2Im, 2Re]],
+    # whose entries live in Q(2cos(pi/(2d))).
+    field = RealCyclotomicField(4 * d)
+    two_cos = field.two_cos_multiple(4 * rp)
+    two_sin = field.two_cos_multiple(d - 4 * rp)
+    re_coef = field.scalar(2) - two_cos  # 2(1 - cos)
+    zero = field.zero()
+    big = [[zero] * (2 * n) for _ in range(2 * n)]
+    for i in range(n):
+        for j in range(n):
+            sym = a[i][j] + a[j][i]
+            skew = a[i][j] - a[j][i]
+            re = re_coef * sym if sym else zero
+            im = two_sin * skew if skew else zero
+            big[i][j] = re
+            big[n + i][n + j] = re
+            big[i][n + j] = -im
+            big[n + i][j] = im
+    pos, neg, null = field_inertia(big)
+    return None if null else (pos - neg) // 2
+
+
+def field_inertia(m):
+    """Inertia (pos, neg, zero) of a symmetric matrix of field elements, by
+    congruence reduction with exact pivots and hyperbolic pairs."""
+    pos = neg = zero = 0
+    while m:
+        size = len(m)
+        piv = next((i for i in range(size) if not m[i][i].is_zero()), None)
+        if piv is not None:
+            d = m[piv][piv]
+            if d.sign() > 0:
+                pos += 1
+            else:
+                neg += 1
+            dinv = d.inverse()
+            rest = [k for k in range(size) if k != piv]
+            col = [m[k][piv] * dinv for k in rest]
+            m = [
+                [m[a][b] - col[ia] * m[piv][b] for b in rest]
+                for ia, a in enumerate(rest)
+            ]
+            continue
+        pair = next(
+            ((i, j) for i in range(size) for j in range(i + 1, size) if not m[i][j].is_zero()),
+            None,
+        )
+        if pair is None:
+            zero += size
+            break
+        i, j = pair
+        pos += 1
+        neg += 1
+        binv = m[i][j].inverse()
+        rest = [k for k in range(size) if k not in (i, j)]
+        ci = [m[k][i] * binv for k in rest]
+        cj = [m[k][j] * binv for k in rest]
+        m = [
+            [m[a][b] - ci[ia] * m[j][b] - cj[ia] * m[i][b] for b in rest]
+            for ia, a in enumerate(rest)
+        ]
+    return pos, neg, zero
 
 
 def test_seifert_validation():
@@ -214,6 +300,70 @@ def test_signature_matches_float_oracle():
                     continue
                 if margin > 1e-8:
                     assert exact == approx, (a.entries, r, m)
+
+
+# Largest m checked against the field oracle, by genus: the oracle's cost
+# grows steeply with the field degree and the matrix size.
+FIELD_ORACLE_M = {0: 24, 1: 24, 2: 16, 3: 13, 4: 12}
+
+
+def test_signature_matches_field_oracle(corpus):
+    rng = random.Random(14)
+    matrices = [r.seifert for r in corpus if r.seifert is not None]
+    matrices += [random_seifert(rng, genus) for genus in (1, 2, 2, 3, 4)]
+    for a in matrices:
+        known = {}  # conjugate roots share one Hermitian spectrum
+        for m in range(2, FIELD_ORACLE_M[a.size // 2] + 1):
+            for r in range(1, m):
+                g = math.gcd(r, m)
+                d = m // g
+                k = min(r // g, d - r // g)
+                if (k, d) not in known:
+                    known[k, d] = field_signature(a.entries, k, d)
+                if known[k, d] is None:
+                    with pytest.raises(SingularValueError):
+                        tl_signature(a, r, m)
+                else:
+                    assert tl_signature(a, r, m) == known[k, d], (a.entries, r, m)
+
+
+def test_sigma_total_at_large_m_finishes_quickly(corpus_by_name):
+    torus_2_7 = corpus_by_name["torus_2_7"].seifert
+    start = time.perf_counter()
+    assert sigma_total(torus_2_7, 37) == -128
+    elapsed = time.perf_counter() - start
+    assert elapsed < 5.0, elapsed
+
+
+def test_sigma_total_genus_ten_finishes_quickly():
+    rng = random.Random(34)
+    a = random_seifert(rng, 10)
+    start = time.perf_counter()
+    total = sigma_total(a, 13)
+    elapsed = time.perf_counter() - start
+    assert total % 2 == 0
+    assert elapsed < 5.0, elapsed
+
+
+def run_without_mpmath(code):
+    """Run code in a fresh interpreter; it fails if mpmath got imported."""
+    src = str(Path(dehnsurg.__file__).resolve().parent.parent)
+    check = f"{code}\nimport sys\nsys.exit('mpmath' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", check], env={**os.environ, "PYTHONPATH": src})
+    return done.returncode
+
+
+def test_import_does_not_load_mpmath():
+    assert run_without_mpmath("import dehnsurg") == 0
+
+
+def test_signatures_do_not_load_mpmath():
+    code = (
+        "import dehnsurg as ds\n"
+        "records = {r.name: r for r in ds.load_knots(ds.bundled_corpus_path())}\n"
+        "assert ds.sigma_total(records['torus_2_7'].seifert, 13) == -48"
+    )
+    assert run_without_mpmath(code) == 0
 
 
 def test_signature_symmetries():
