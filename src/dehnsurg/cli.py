@@ -152,8 +152,8 @@ def _cmd_hf_rank(args) -> int:
     if args.slope.is_infinite:
         raise ValueError("the cone needs a finite slope (the infinite surgery has rank 1)")
     parts = []
-    want_oracle = args.oracle or args.both or not (args.oracle or args.formula or args.both)
-    want_formula = args.formula or args.both or not (args.oracle or args.formula or args.both)
+    want_oracle = not args.formula
+    want_formula = not args.oracle
     oracle = formula = None
     if want_oracle:
         oracle = cone_rank_oracle(record.hf, args.slope)

@@ -344,12 +344,12 @@ def _root_bound(seq) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _jumps(entries):
+def _jumps(matrix: SeifertMatrix):
     """(Delta, the Sturm sequence of D, the number of jumps in (0, pi)),
     where D(u) = (1 + u)^deg * Delta(e^(i theta)).  D(0) = Delta(1) = 1 and
     the top coefficient of D is Delta(-1) != 0, so the jumps are exactly
     the positive roots of D."""
-    poly = alexander_from_seifert(SeifertMatrix(entries))
+    poly = alexander_from_seifert(matrix)
     seq = _sturm(_in_u(_alexander_in_two_cos(poly)))
     return poly, seq, _roots_upto(seq, None)
 
@@ -411,7 +411,7 @@ def _arc_point(seq, arc: int) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _arc_signature(entries, arc: int) -> int:
+def _arc_signature(matrix: SeifertMatrix, arc: int) -> int:
     """The signature on one arc, from one exact LDL at its canonical point.
 
     Below the last arc, H(xi)/sin(theta) = tS + iK with S = A + A^T and
@@ -419,7 +419,8 @@ def _arc_signature(entries, arc: int) -> int:
     [[tS, -K], [K, tS]], scaled here by t's denominator.  The last arc
     holds xi = -1, where H = 2S.
     """
-    _, seq, jumps = _jumps(entries)
+    _, seq, jumps = _jumps(matrix)
+    entries = matrix.entries
     n = len(entries)
     sym = [[entries[i][j] + entries[j][i] for j in range(n)] for i in range(n)]
     if arc == jumps:
@@ -442,17 +443,17 @@ def _arc_signature(entries, arc: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _tl_signature_cached(entries, r, m):
-    if not entries:
+def _tl_signature_cached(matrix: SeifertMatrix, r, m):
+    if not matrix.entries:
         return 0
     g = math.gcd(r, m)
     d = m // g
     k = min(r // g, d - r // g)  # xi and its conjugate have one signature
-    poly, seq, jumps = _jumps(entries)
+    poly, seq, jumps = _jumps(matrix)
     if _alexander_vanishes_at(poly, d):
         raise SingularValueError(r, m)
     arc = jumps if jumps == 0 or 2 * k == d else _arc_of(seq, k, d)
-    return _arc_signature(entries, arc)
+    return _arc_signature(matrix, arc)
 
 
 def tl_signature(matrix: SeifertMatrix, r: int, m: int) -> int:
@@ -464,7 +465,7 @@ def tl_signature(matrix: SeifertMatrix, r: int, m: int) -> int:
     """
     if not 0 < r < m:
         raise ValueError("need 0 < r < m")
-    return _tl_signature_cached(matrix.entries, r, m)
+    return _tl_signature_cached(matrix, r, m)
 
 
 def sigma_total(matrix: SeifertMatrix, m: int) -> int:

@@ -1,14 +1,14 @@
 """Decision procedure: which invariant distinguishes two surgeries on a knot.
 
 Given a knot record and two slopes of the same sign (infinity allowed on
-either side), the checks run in the cheapest-first order that the
-cancellation structure of the surgery formulas permits: first homology,
-then the Casson-Gordon comparison (the knot signature term cancels for
-equal p, so no signatures are ever computed here), then Casson-Walker via
-the second derivative of the Alexander polynomial, then hat-homology ranks
-when knot Floer data is present.  Negative slope pairs are rewritten as
-positive pairs on the mirror knot before anything else happens; of its
-record only the ambient data and the knot Floer data change.
+either side), the stages run cheapest first: order of first homology, the
+lens-space part of the total Casson-Gordon invariant (the knot signature
+term cancels for equal p, so no signatures are computed here),
+Casson-Walker when Delta''(1) != 0, and hat-homology rank when knot Floer
+data is on file.  The first stage whose values on the two surgeries differ
+names the invariant and gives the witnesses; when all tie, the L-space
+form of the Alexander polynomial decides.  Negative pairs are decided as
+positive pairs on the mirror knot.
 """
 
 from __future__ import annotations
@@ -20,7 +20,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 from importlib import resources
+from itertools import combinations
 from pathlib import Path
 
 from .dedekind import dedekind_sum
@@ -62,7 +64,8 @@ BY_HF_RANK = "DistinguishedByHFRank"
 UNKNOT_COSMETIC = "UnknotCosmetic"
 INCONCLUSIVE = "Inconclusive"
 
-_WITNESSED_TAGS = (DIFFERENT_HOMOLOGY, BY_CASSON_GORDON, BY_CASSON_WALKER, BY_HF_RANK)
+# The stages, cheapest first; a verdict from one carries two distinct witnesses.
+_STAGES = (DIFFERENT_HOMOLOGY, BY_CASSON_GORDON, BY_CASSON_WALKER, BY_HF_RANK)
 
 
 @dataclass(frozen=True)
@@ -75,7 +78,7 @@ class Verdict:
     value2: object = None
 
     def __post_init__(self):
-        if self.tag in _WITNESSED_TAGS and self.value1 == self.value2:
+        if self.tag in _STAGES and self.value1 == self.value2:
             raise ValueError(f"verdict {self.tag} needs two distinct witnesses")
 
 
@@ -102,22 +105,14 @@ class KnotRecord:
         return delta2_at_one(self.alexander)
 
 
-def _mirrored_data(record: KnotRecord) -> tuple[AmbientData, KnotFloerData | None]:
-    """The ambient data and knot Floer data of the mirror knot: the only
-    inputs of distinguish that mirroring changes."""
-    hf = mirror_of(record.hf) if record.hf is not None else None
-    return record.ambient.negated(), hf
-
-
 def mirror_record(record: KnotRecord) -> KnotRecord:
     """Record of the mirror knot in the orientation-reversed ambient manifold."""
-    ambient, hf = _mirrored_data(record)
     return replace(
         record,
         name=f"mirror({record.name})",
         seifert=record.seifert.mirror() if record.seifert is not None else None,
-        hf=hf,
-        ambient=ambient,
+        hf=mirror_of(record.hf) if record.hf is not None else None,
+        ambient=record.ambient.negated(),
         tau=-record.tau if record.tau is not None else None,
         nu=None,
     )
@@ -127,48 +122,54 @@ def _check_pair(s1: Slope, s2: Slope) -> int:
     """Validate a slope pair and return -1 if it needs mirroring, else +1."""
     if s1 == s2:
         raise ValueError("the two slopes must be distinct")
-    signs = set()
-    for s in (s1, s2):
-        if s.is_infinite:
-            continue
-        if s.p == 0:
-            raise ValueError("0-surgery is not a rational homology sphere; slope 0 rejected")
-        signs.add(1 if s.p > 0 else -1)
-    if len(signs) == 2:
+    if s1.p == 0 or s2.p == 0:
+        raise ValueError("0-surgery is not a rational homology sphere; slope 0 rejected")
+    # The infinite slope 1/0 takes the sign of the other slope.
+    p1 = s2.p if s1.is_infinite else s1.p
+    p2 = s1.p if s2.is_infinite else s2.p
+    if (p1 > 0) != (p2 > 0):
         raise ValueError("mixed-sign slope pairs are outside the obstruction's hypothesis")
-    return signs.pop() if signs else 1
+    return 1 if p1 > 0 else -1
 
 
-def distinguish(record: KnotRecord, s1: Slope, s2: Slope) -> Verdict:
-    """Find the invariant separating the two surgered manifolds.
-
-    For pairs of negative slopes the question is transported to the mirror
-    knot with positive slopes, so reported witnesses are the invariants of
-    the mirrored surgeries.
+def _stage(record: KnotRecord, slopes, sign: int, tag: str):
+    """One stage's tag and values on the given surgeries (None if it does
+    not run).  The slopes have positive p, on the mirror knot when ``sign``
+    is -1, whose data only the stage that needs it reads.  After a
+    Casson-Gordon tie two Casson-Walker values differ exactly when
+    Delta''(1) != 0, so that stage runs only then, and the rank stage,
+    which it would always pre-empt, only otherwise.
     """
-    ambient, hf = record.ambient, record.hf
-    if _check_pair(s1, s2) < 0:
-        ambient, hf = _mirrored_data(record)
-        s1, s2 = s1.negated(), s2.negated()
-    if abs(s1.p) != abs(s2.p):
-        return Verdict(DIFFERENT_HOMOLOGY, abs(s1.p), abs(s2.p))
-    p = s1.p
-    d1 = dedekind_sum(s1.q, p)
-    d2 = dedekind_sum(s2.q, p)
-    if d1 != d2:
-        return Verdict(BY_CASSON_GORDON, -4 * p * d1, -4 * p * d2)
+    if tag == DIFFERENT_HOMOLOGY:
+        return tag, [s.p for s in slopes]
+    if tag == BY_CASSON_GORDON:
+        return tag, [-4 * s.p * dedekind_sum(s.q, s.p) for s in slopes]
     delta2 = record.delta2
-    if delta2 != 0:
-        lam1 = casson_walker_surgered(ambient, delta2, s1)
-        lam2 = casson_walker_surgered(ambient, delta2, s2)
-        return Verdict(BY_CASSON_WALKER, lam1, lam2)
-    if hf is not None:
-        # Infinite surgery returns the ambient integral homology L-space,
-        # whose hat homology has rank 1.
-        r1 = 1 if s1.is_infinite else rank_formula(hf, s1)
-        r2 = 1 if s2.is_infinite else rank_formula(hf, s2)
-        if r1 != r2:
-            return Verdict(BY_HF_RANK, r1, r2)
+    if tag == BY_CASSON_WALKER:
+        if delta2 == 0:
+            return tag, None
+        ambient = record.ambient if sign > 0 else record.ambient.negated()
+        return tag, [casson_walker_surgered(ambient, delta2, s) for s in slopes]
+    if delta2 != 0 or record.hf is None:
+        return tag, None
+    # Infinite surgery returns the ambient integral homology L-space,
+    # whose hat homology has rank 1.
+    hf = record.hf if sign > 0 else mirror_of(record.hf)
+    return tag, [1 if s.is_infinite else rank_formula(hf, s) for s in slopes]
+
+
+def _stages(record: KnotRecord, slopes, sign: int):
+    """The stages on the given surgeries, each computed when reached."""
+    return map(partial(_stage, record, slopes, sign), _STAGES)
+
+
+def _first_difference(record: KnotRecord, stages, i: int, j: int) -> Verdict:
+    """The first stage whose values on surgeries i and j differ gives the
+    verdict; when every stage ties, the L-space form of the Alexander
+    polynomial does."""
+    for tag, values in stages:
+        if values is not None and values[i] != values[j]:
+            return Verdict(tag, values[i], values[j])
     try:
         form = parse_lspace_form(record.alexander)
     except NotLSpaceFormError:
@@ -178,6 +179,20 @@ def distinguish(record: KnotRecord, s1: Slope, s2: Slope) -> Verdict:
             "alternating Alexander form with nonzero top term cannot reach this step"
         )
     return Verdict(UNKNOT_COSMETIC)
+
+
+def distinguish(record: KnotRecord, s1: Slope, s2: Slope) -> Verdict:
+    """Find the invariant separating the two surgered manifolds: the first
+    stage whose values differ.
+
+    For pairs of negative slopes the question is transported to the mirror
+    knot with positive slopes, so reported witnesses are the invariants of
+    the mirrored surgeries.
+    """
+    sign = _check_pair(s1, s2)
+    if sign < 0:
+        s1, s2 = s1.negated(), s2.negated()
+    return _first_difference(record, _stages(record, (s1, s2), sign), 0, 1)
 
 
 def full_invariants(record: KnotRecord, slope: Slope):
@@ -228,25 +243,21 @@ class SweepReport:
         return out.getvalue().split("\n")[:-1]
 
 
-def _slope_group(p_signed: int, q_max: int):
-    """All reduced slopes with the given signed p, plus infinity when |p| = 1."""
-    slopes = []
-    if abs(p_signed) == 1:
-        slopes.append(Slope(1, 0))
-    for q in range(1, q_max + 1):
-        if math.gcd(p_signed, q) == 1:
-            slopes.append(Slope(p_signed, q))
+def _slope_group(p: int, q_max: int):
+    """All reduced slopes p/q with p > 0 and q <= q_max, plus infinity when p = 1."""
+    slopes = [Slope(1, 0)] if p == 1 else []
+    slopes += [Slope(p, q) for q in range(1, q_max + 1) if math.gcd(p, q) == 1]
     return slopes
 
 
 def sweep(records, p_max: int, q_max: int) -> SweepReport:
-    """Run distinguish over every same-sign slope pair with equal |p|.
+    """Decide every same-sign slope pair with equal |p|, as distinguish does.
 
     Pairs are grouped by the signed surgery coefficient p with 1 <= |p| <=
     p_max and 0 <= q <= q_max; the infinite slope joins the |p| = 1 groups
-    with q recorded as 0.  Output rows are sorted by (p, q1, q2) within
-    each record, so the report is deterministic however the pairs are
-    evaluated.
+    with q recorded as 0.  The stage values of a group's slopes are
+    computed once and every pair of the group is decided by its first
+    differing stage.  Rows come out in (p, q1, q2) order within each record.
     """
     if p_max < 1 or q_max < 1:
         raise ValueError("p_max and q_max must be >= 1")
@@ -256,34 +267,17 @@ def sweep(records, p_max: int, q_max: int) -> SweepReport:
     counts: Counter = Counter()
     bad = 0
     for record in records:
-        # distinguish moves negative pairs to the mirror; mirror once here.
-        mirrored = mirror_record(record)
-        record_rows = []
         for p_signed in [p for p in range(-p_max, p_max + 1) if p != 0]:
-            group = _slope_group(p_signed, q_max)
-            for a in range(len(group)):
-                for b in range(a + 1, len(group)):
-                    s1, s2 = group[a], group[b]
-                    if p_signed < 0:
-                        verdict = distinguish(mirrored, s1.negated(), s2.negated())
-                    else:
-                        verdict = distinguish(record, s1, s2)
-                    record_rows.append(
-                        SweepRow(
-                            record.name,
-                            p_signed,
-                            s1.q,
-                            s2.q,
-                            verdict.tag,
-                            verdict.value1,
-                            verdict.value2,
-                        )
-                    )
-                    counts[verdict.tag] += 1
-                    if verdict.tag == INCONCLUSIVE and not record.trivial:
-                        bad += 1
-        record_rows.sort(key=lambda r: (r.p, r.q1, r.q2))
-        rows.extend(record_rows)
+            sign = 1 if p_signed > 0 else -1
+            # Negative slopes are decided as their positive mirrors.
+            group = _slope_group(abs(p_signed), q_max)
+            stages = list(_stages(record, group, sign))
+            for (a, s1), (b, s2) in combinations(enumerate(group), 2):
+                v = _first_difference(record, stages, a, b)
+                rows.append(SweepRow(record.name, p_signed, s1.q, s2.q, v.tag, v.value1, v.value2))
+                counts[v.tag] += 1
+                if v.tag == INCONCLUSIVE and not record.trivial:
+                    bad += 1
     return SweepReport(tuple(rows), dict(counts), bad)
 
 
@@ -397,11 +391,12 @@ def _record_from_dict(raw: dict, context: str) -> KnotRecord:
 
 def load_knots(path) -> list[KnotRecord]:
     """Load and validate a JSON list of knot records."""
-    text = Path(path).read_text()
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as e:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ValueError(f"{path}: not valid JSON: {e}") from None
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply to load") from None
     if not isinstance(data, list):
         raise ValueError(f"{path}: top level must be a JSON list of records")
     records = []

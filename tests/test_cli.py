@@ -90,18 +90,12 @@ def test_signature_singular_exits_1(capsys):
 
 
 def test_hf_rank_both(capsys):
-    code, out, _ = run(
-        capsys,
-        "hf-rank",
-        "--knot",
-        CORPUS,
-        "--name",
-        "trefoil_right",
-        "--slope",
-        "1/2",
-        "--both",
-    )
-    assert code == 0 and out == "oracle=3 formula=3\n"
+    # --both, and no mode flag at all, run the oracle and the formula
+    for mode in (["--both"], []):
+        code, out, _ = run(
+            capsys, "hf-rank", "--knot", CORPUS, "--name", "trefoil_right", "--slope", "1/2", *mode
+        )
+        assert code == 0 and out == "oracle=3 formula=3\n", mode
 
 
 def test_hf_rank_single_modes(capsys):
@@ -195,6 +189,23 @@ def test_distinguish_mixed_sign_exits_1(capsys):
         "1/2",
     )
     assert code == 1 and "mixed-sign" in err
+
+
+def test_deeply_nested_corpus_exits_1(tmp_path, capsys):
+    corpus = tmp_path / "deep.json"
+    corpus.write_text("[" * 100000)
+    code, out, err = run(capsys, "alexander", "--knot", str(corpus), "--name", "x")
+    assert code == 1 and out == ""
+    assert err == f"error: {corpus}: JSON nested too deeply to load\n"
+
+
+def test_undecodable_corpus_exits_1(tmp_path, capsys):
+    corpus = tmp_path / "latin1.json"
+    corpus.write_bytes(b'[{"name": "k\xf6", "alexander": {"a0": 1}}]')
+    code, out, err = run(capsys, "alexander", "--knot", str(corpus), "--name", "x")
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {corpus}: not valid JSON: 'utf-8' codec can't decode")
+    assert err.count("\n") == 1
 
 
 def test_unknown_name_exits_1(capsys):

@@ -179,17 +179,51 @@ def test_sweep_counts_and_determinism(corpus_by_name):
 
 
 def test_sweep_negative_rows_match_direct_distinguish(corpus):
-    # One record in an ambient manifold with nonzero Casson-Walker
-    # invariant, whose mirror differs from it in what distinguish reads.
+    # sweep decides pairs without calling distinguish; every row of both
+    # signs must agree with it.  One record sits in an ambient manifold with
+    # nonzero Casson-Walker invariant, whose mirror differs from it in what
+    # distinguish reads; one has Delta''(1) = 0 and nontrivial Floer data,
+    # so the rank stage and its mirror run at both signs.
     poincare = ds.AmbientData(Fraction(2), "Sigma(2,3,5)")
-    records = corpus + [replace(corpus[1], name="in_poincare", ambient=poincare)]
+    alexander_one = KnotRecord(
+        name="alexander_one",
+        alexander=SymLaurentPoly(1),
+        hf=ds.KnotFloerData(2, (1, 2, 3, 2, 1), 1),
+    )
+    records = corpus + [replace(corpus[1], name="in_poincare", ambient=poincare), alexander_one]
     by_name = {r.name: r for r in records}
-    negative = [row for row in sweep(records, 10, 10).rows if row.p < 0]
-    assert negative
-    for row in negative:
+    rows = sweep(records, 10, 10).rows
+    assert {row.p < 0 for row in rows} == {True, False}
+    assert {row.p < 0 for row in rows if row.name == "alexander_one" and row.tag == BY_HF_RANK} == {
+        True,
+        False,
+    }
+    for row in rows:
         s1, s2 = (Slope(1, 0) if q == 0 else Slope(row.p, q) for q in (row.q1, row.q2))
         v = distinguish(by_name[row.name], s1, s2)
         assert row == SweepRow(row.name, row.p, row.q1, row.q2, v.tag, v.value1, v.value2)
+
+
+def test_distinguish_reads_only_the_stages_it_needs(corpus_by_name, monkeypatch):
+    # A Casson-Gordon difference decides before Casson-Walker, the rank and
+    # the mirror's Floer data are computed; a Casson-Walker difference
+    # decides before the rank and the mirror's Floer data are.
+    tref = corpus_by_name["trefoil_right"]
+    cg_pairs = [(Slope(5, 1), Slope(5, 2)), (Slope(-5, 1), Slope(-5, 2))]
+    cw_pair = (Slope(-1, 1), Slope.of(-1, 2))
+    expected = {pair: distinguish(tref, *pair) for pair in cg_pairs + [cw_pair]}
+    assert {expected[pair].tag for pair in cg_pairs} == {BY_CASSON_GORDON}
+    assert expected[cw_pair].tag == BY_CASSON_WALKER
+
+    def boom(*args, **kwargs):
+        raise AssertionError("stage computed after the decision")
+
+    monkeypatch.setattr("dehnsurg.obstruction.rank_formula", boom)
+    monkeypatch.setattr("dehnsurg.obstruction.mirror_of", boom)
+    assert distinguish(tref, *cw_pair) == expected[cw_pair]
+    monkeypatch.setattr("dehnsurg.obstruction.casson_walker_surgered", boom)
+    for pair in cg_pairs:
+        assert distinguish(tref, *pair) == expected[pair]
 
 
 def test_sweep_figure_eight_never_inconclusive(corpus_by_name):
