@@ -218,9 +218,14 @@ _COMMANDS = {
 }
 
 
+_parser: argparse.ArgumentParser | None = None  # built on first use
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = _build_parser()
+    args = _parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, ArithmeticError, OSError) as e:

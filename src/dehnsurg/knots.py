@@ -3,8 +3,10 @@
 Covers the normalized symmetric Alexander polynomial, its second derivative
 at 1, Tristram-Levine signatures at roots of unity (exact: constant on the
 arcs between roots of the Alexander polynomial, which Sturm sequences
-isolate, with one rational LDL per arc), the total signature sum, and
-recognition of the Alexander-polynomial shape forced by L-space surgeries.
+isolate, with one integer congruence reduction per arc), the total
+signature sum (by counting the roots of unity on each arc: O(log m)
+placements per jump, none per root), and recognition of the
+Alexander-polynomial shape forced by L-space surgeries.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from .cyclotomic import (
     _poly_mul,
     _poly_sub,
     _trim,
-    cos_minimal_polynomial,
     cyclotomic_polynomial,
 )
 
@@ -246,9 +247,33 @@ def delta2_at_one(poly: SymLaurentPoly) -> int:
     return 2 * sum(c * j * j for j, c in enumerate(poly.higher, start=1))
 
 
+def _totient(n: int) -> int:
+    """Euler's phi, by trial division."""
+    out, p = n, 2
+    while p * p <= n:
+        if n % p == 0:
+            while n % p == 0:
+                n //= p
+            out -= out // p
+        p += 1
+    if n > 1:
+        out -= out // n
+    return out
+
+
 def _alexander_vanishes_at(poly: SymLaurentPoly, d: int) -> bool:
-    """Exact test of poly(xi) = 0 for xi a primitive d-th root of unity."""
-    return not _frac_divmod(poly.as_int_poly(), cyclotomic_polynomial(d))[1]
+    """Exact test of poly(xi) = 0 for xi a primitive d-th root of unity,
+    that is of Phi_d dividing poly, over the integers as Phi_d is monic.
+    It can divide only if phi(d) <= deg, and phi(d) >= sqrt(d/2), so orders
+    d > 2 deg^2 need no division."""
+    deg = 2 * poly.degree
+    if d > 2 * deg * deg or _totient(d) > deg:
+        return False
+    try:
+        _poly_divexact(poly.as_int_poly(), list(cyclotomic_polynomial(d)))
+    except ArithmeticError:
+        return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +283,9 @@ def _alexander_vanishes_at(poly: SymLaurentPoly, d: int) -> bool:
 # u = t^2: then 2cos(theta) = 2(1 - u)/(1 + u), which maps theta increasingly
 # onto u in (0, inf), so the arcs are the intervals between the positive
 # roots of an integer polynomial in u, and Sturm sequences isolate them.
+# The root e^(2 pi i r/m) sits at u = tan^2(pi r/m), placed on its arc by a
+# rigorous rational enclosure of that number; u grows with r, so a total
+# signature needs only the last r below each jump, found by bisection.
 
 
 def _in_u(poly_x) -> list:
@@ -355,40 +383,103 @@ def _jumps(matrix: SeifertMatrix):
 
 
 @lru_cache(maxsize=None)
-def _cos_sturm(d: int) -> tuple:
-    """Sturm sequence, in u, of the minimal polynomial P of 2cos(2pi/d),
-    d >= 3.  P's roots tan^2(pi k/d), 0 < k < d/2 with gcd(k, d) = 1, are
-    simple and increase with k."""
-    return _sturm(_in_u(cos_minimal_polynomial(d)))
+def _pi_fixed(w: int) -> tuple[int, int]:
+    """(p, e) with |pi * 2^w - p| <= e, from Machin's formula
+    pi = 16 atan(1/5) - 4 atan(1/239) summed in w-bit fixed point."""
+
+    def atan_inv(n):
+        # Term k is floor(2^w / ((2k+1) n^(2k+1))), less than 1 below the
+        # true term, and once the power reaches 0 the alternating tail is
+        # below 1: k terms are off by less than k + 1 in all.
+        total, power, k = 0, (1 << w) // n, 0
+        while power:
+            term = power // (2 * k + 1)
+            total += -term if k % 2 else term
+            power //= n * n
+            k += 1
+        return total, k + 1
+
+    a, err_a = atan_inv(5)
+    b, err_b = atan_inv(239)
+    return 16 * a - 4 * b, 16 * err_a + 4 * err_b
 
 
-def _arc_of(seq, k: int, d: int) -> int:
-    """The arc holding u = tan^2(pi k/d), 0 < k < d/2 and D(u) != 0: the
-    number of roots of D below u.
+def _cos_fixed(a: int, b: int, w: int) -> tuple[int, int]:
+    """(c, e) with |cos(pi a/b) * 2^w - c| <= e, for 0 <= a/b <= 1/2.
 
-    A float proposes a rational interval around u, used only once Sturm
-    counts prove it holds exactly the root of P that u is (the one of rank
-    j).  Bisection steered by the same counts then shrinks the interval
-    until it holds no root of D.
+    The alternating Taylor series is summed in w-bit fixed point at the
+    fixed-point angle x, which is off by at most e_pi + 1.  With x <= pi/2
+    every floored term is off by less than 2, the terms decrease after the
+    first, and the tail after the first zero term is below 2; cos is
+    1-Lipschitz, so the angle's error adds as it is.
     """
-    pseq = _cos_sturm(d)
-    j = sum(1 for i in range(1, k) if math.gcd(i, d) == 1)
-    guess = Fraction(math.tan(math.pi * k / d) ** 2)
-    lo, hi = guess * (1 - Fraction(1, 1 << 30)), guess * (1 + Fraction(1, 1 << 30))
-    p_lo, p_hi = _roots_upto(pseq, lo), _roots_upto(pseq, hi)
-    if (p_lo, p_hi) != (j, j + 1):
-        lo, hi = Fraction(0), _root_bound(pseq)
-        p_lo, p_hi = 0, _roots_upto(pseq, None)
-    # Invariant: p_lo <= j < p_hi, so u is in (lo, hi].
-    d_lo, d_hi = _roots_upto(seq, lo), _roots_upto(seq, hi)
-    while (p_lo, p_hi) != (j, j + 1) or d_lo != d_hi:
-        mid = (lo + hi) / 2
-        p_mid, d_mid = _roots_upto(pseq, mid), _roots_upto(seq, mid)
-        if p_mid > j:
-            hi, p_hi, d_hi = mid, p_mid, d_mid
+    p, err_pi = _pi_fixed(w)
+    x = p * a // b
+    x2, shift = x * x, 2 * w
+    total = term = 1 << w
+    k = 0
+    while term:
+        k += 1
+        term = term * x2 // ((2 * k - 1) * 2 * k << shift)
+        total += -term if k % 2 else term
+    return total, 2 * k + 2 + err_pi + 1
+
+
+def _tan2_enclosure(r: int, m: int, w: int) -> tuple[Fraction, Fraction | None]:
+    """Rationals lo <= tan^2(pi r/m) <= hi for 0 < r < m/2, from w-bit
+    cosines; hi is None when the enclosure is unbounded at this precision.
+
+    tan^2(pi r/m) = (1 - c)/(1 + c) with c = cos(2 pi r/m).  Past r = m/4
+    the cosine of the complementary angle pi (m - 2r)/m, which is -c, is
+    enclosed instead, so the series always runs on an angle in [0, pi/2].
+    Near r = m/2 the denominator 1 + c is below the error bound, and the
+    upper end is left open rather than given a meaningless sign.
+    """
+    one = 1 << w
+    if 4 * r <= m:
+        c, e = _cos_fixed(2 * r, m, w)
+        return Fraction(max(0, one - c - e), one + c + e), Fraction(one - c + e, one + c - e)
+    c, e = _cos_fixed(m - 2 * r, m, w)
+    hi = Fraction(one + c + e, one - c - e) if one - c - e > 0 else None
+    return Fraction(one + c - e, one - c + e), hi
+
+
+def _arc_at(seq, r: int, m: int) -> int:
+    """The arc holding u = tan^2(pi r/m), 0 < r < m/2 and D(u) != 0: the
+    number of roots of D below u.  The enclosure is refined until it holds
+    no root of D, as it must once it is narrower than u's distance to the
+    nearest root."""
+    w = 64
+    while True:
+        lo, hi = _tan2_enclosure(r, m, w)
+        below = _roots_upto(seq, lo)
+        if below == _roots_upto(seq, hi):
+            return below
+        w *= 2
+
+
+def _arc_counts(seq, jumps: int, m: int) -> list[int]:
+    """For each arc, how many r in 1 .. (m-1)/2 have tan^2(pi r/m) on it,
+    none of them a root of D.  The arc never decreases with r, so bisection
+    finds each boundary: O(jumps * log m) placements, none per r."""
+    counts = [0] * (jumps + 1)
+
+    def split(lo, arc_lo, hi, arc_hi):
+        # r in (lo, hi]; arc_lo is the arc of lo (0 for lo = 0), arc_hi of hi.
+        if arc_lo == arc_hi:
+            counts[arc_lo] += hi - lo
+        elif hi - lo == 1:
+            counts[arc_hi] += 1
         else:
-            lo, p_lo, d_lo = mid, p_mid, d_mid
-    return d_lo
+            mid = (lo + hi) // 2
+            arc_mid = _arc_at(seq, mid, m)
+            split(lo, arc_lo, mid, arc_mid)
+            split(mid, arc_mid, hi, arc_hi)
+
+    top = (m - 1) // 2
+    if top:
+        split(0, 0, top, _arc_at(seq, top, m))
+    return counts
 
 
 def _arc_point(seq, arc: int) -> Fraction:
@@ -412,7 +503,8 @@ def _arc_point(seq, arc: int) -> Fraction:
 
 @lru_cache(maxsize=None)
 def _arc_signature(matrix: SeifertMatrix, arc: int) -> int:
-    """The signature on one arc, from one exact LDL at its canonical point.
+    """The signature on one arc, from one integer congruence reduction at
+    its canonical point.
 
     Below the last arc, H(xi)/sin(theta) = tS + iK with S = A + A^T and
     K = A - A^T; its signature is half that of the real symmetric
@@ -452,15 +544,17 @@ def _tl_signature_cached(matrix: SeifertMatrix, r, m):
     poly, seq, jumps = _jumps(matrix)
     if _alexander_vanishes_at(poly, d):
         raise SingularValueError(r, m)
-    arc = jumps if jumps == 0 or 2 * k == d else _arc_of(seq, k, d)
+    arc = jumps if 2 * k == d else _arc_at(seq, k, d)
     return _arc_signature(matrix, arc)
 
 
 def tl_signature(matrix: SeifertMatrix, r: int, m: int) -> int:
     """Tristram-Levine signature at xi = exp(2*pi*i*r/m), 0 < r < m.
 
-    Exact: xi is placed on its arc between jumps by Sturm counts, and the
-    arc's signature comes from pivot signs of a rational LDL.  Raises
+    Exact: xi is placed on its arc between jumps by Sturm counts at the
+    ends of a rigorous rational enclosure of tan^2(pi*r/m), refined until
+    both counts agree, and the arc's signature comes from the pivot signs
+    of a fraction-free integer congruence reduction.  Raises
     SingularValueError when the Alexander polynomial vanishes at xi.
     """
     if not 0 < r < m:
@@ -469,52 +563,68 @@ def tl_signature(matrix: SeifertMatrix, r: int, m: int) -> int:
 
 
 def sigma_total(matrix: SeifertMatrix, m: int) -> int:
-    """Total signature sum over r = 1 .. m-1 at the m-th roots of unity."""
+    """Total signature sum over r = 1 .. m-1 at the m-th roots of unity.
+
+    Raises SingularValueError, with the smallest such r, when the Alexander
+    polynomial vanishes at one of them.  Otherwise xi^r and xi^(m-r) share
+    a signature, so the sum is twice each arc's signature times its count
+    of r < m/2, plus the last arc once more, for xi = -1, when m is even.
+    """
     if m < 1:
         raise ValueError("need m >= 1")
-    return sum(tl_signature(matrix, r, m) for r in range(1, m))
+    if not matrix.entries:
+        return 0
+    poly, seq, jumps = _jumps(matrix)
+    top = 2 * (2 * poly.degree) ** 2  # larger orders are never singular: see _alexander_vanishes_at
+    for d in range(min(m, top), 0, -1):
+        if m % d == 0 and _alexander_vanishes_at(poly, d):
+            raise SingularValueError(m // d, m)
+    counts = _arc_counts(seq, jumps, m)
+    total = sum(2 * n * _arc_signature(matrix, arc) for arc, n in enumerate(counts) if n)
+    if m % 2 == 0:
+        total += _arc_signature(matrix, jumps)
+    return total
 
 
 def _symmetric_inertia(m):
-    """Inertia (pos, neg, zero) of a symmetric rational matrix, by congruence
-    reduction with exact Fraction pivots and hyperbolic pairs."""
-    m = [[Fraction(x) for x in row] for row in m]
-    pos = neg = zero = 0
+    """Inertia (pos, neg, zero) of a symmetric integer matrix, by
+    fraction-free congruence reduction.
+
+    A nonzero pivot d turns the rest into d times its Schur complement, so
+    the signs met later are flipped once for every negative pivot.  When
+    the whole diagonal is zero, e_i -> e_i + e_j for some m_ij != 0 makes
+    the diagonal entry 2 m_ij.  Each step divides out the content.
+    """
+    m = [list(row) for row in m]
+    pos = neg = 0
+    flipped = False
     while m:
         size = len(m)
         piv = next((i for i in range(size) if m[i][i]), None)
-        if piv is not None:
-            d = m[piv][piv]
-            if d > 0:
-                pos += 1
-            else:
-                neg += 1
-            rest = [k for k in range(size) if k != piv]
-            col = [m[k][piv] / d for k in rest]
-            m = [
-                [m[a][b] - c * m[piv][b] for b in rest] if c else [m[a][b] for b in rest]
-                for a, c in zip(rest, col)
-            ]
-            continue
-        pair = next(
-            ((i, j) for i in range(size) for j in range(i + 1, size) if m[i][j]),
-            None,
-        )
-        if pair is None:
-            zero += size
-            break
-        i, j = pair
-        pos += 1
-        neg += 1
-        b = m[i][j]
-        rest = [k for k in range(size) if k not in (i, j)]
-        ci = [m[k][i] / b for k in rest]
-        cj = [m[k][j] / b for k in rest]
-        m = [
-            [m[a][b] - ci[ia] * m[j][b] - cj[ia] * m[i][b] for b in rest]
-            for ia, a in enumerate(rest)
-        ]
-    return pos, neg, zero
+        if piv is None:
+            pair = next(
+                ((i, j) for i in range(size) for j in range(i + 1, size) if m[i][j]),
+                None,
+            )
+            if pair is None:
+                return pos, neg, size
+            piv, j = pair
+            for row in m:
+                row[piv] += row[j]
+            m[piv] = [x + y for x, y in zip(m[piv], m[j])]
+        d = m[piv][piv]
+        if (d < 0) == flipped:
+            pos += 1
+        else:
+            neg += 1
+        flipped ^= d < 0
+        prow = m[piv]
+        rest = [k for k in range(size) if k != piv]
+        m = [[d * m[a][b] - m[a][piv] * prow[b] for b in rest] for a in rest]
+        g = math.gcd(*(x for row in m for x in row))
+        if g > 1:
+            m = [[x // g for x in row] for row in m]
+    return pos, neg, 0
 
 
 def parse_lspace_form(poly: SymLaurentPoly) -> LSpaceForm:

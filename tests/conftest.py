@@ -1,10 +1,26 @@
 import math
 import random
+import sys
 from itertools import combinations
 
 import pytest
 
 import dehnsurg as ds
+
+
+@pytest.fixture
+def clear_caches():
+    """A function that empties every functools cache of the package, so the
+    next call runs as in a fresh process."""
+
+    def clear():
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "dehnsurg":
+                for obj in vars(module).values():
+                    if callable(getattr(obj, "cache_clear", None)):
+                        obj.cache_clear()
+
+    return clear
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -87,6 +88,25 @@ def test_signature_singular_exits_1(capsys):
     code, _, err = run(capsys, "signature", "--knot", CORPUS, "--name", "trefoil_right", "--m", "6")
     assert code == 1
     assert "vanishes" in err
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (("casson-gordon", "--slope", "1009/1"), "-337008\n"),
+        (("casson-gordon", "--slope", "1000000007/1"), "-333333335666666666\n"),
+        (("signature", "--m", "1000000007"), "-1333333344\n"),
+    ],
+)
+def test_large_order_finishes_in_bounded_time(capsys, clear_caches, argv, want):
+    # tau = -4p s(1,p) - sigma = -(p-1)(p-2)/3 - sigma, where sigma(trefoil, p) is
+    # -4(p-1)/3 for p = 1 (mod 6) and -4(p+1)/3 for p = 5 (mod 6)
+    clear_caches()
+    start = time.perf_counter()
+    code, out, _ = run(capsys, argv[0], "--knot", CORPUS, "--name", "trefoil_right", *argv[1:])
+    elapsed = time.perf_counter() - start
+    assert code == 0 and out == want
+    assert elapsed < 1.0, elapsed
 
 
 def test_hf_rank_both(capsys):

@@ -1,5 +1,6 @@
 import math
 import os
+from fractions import Fraction
 import random
 import subprocess
 import sys
@@ -25,7 +26,7 @@ from dehnsurg import (
     tl_signature,
 )
 from dehnsurg.cyclotomic import RealCyclotomicField
-from dehnsurg.knots import _poly_matrix_det
+from dehnsurg.knots import _poly_matrix_det, _symmetric_inertia, _tan2_enclosure
 
 TREFOIL = SeifertMatrix([[-1, 1], [0, -1]])
 FIGURE_EIGHT = SeifertMatrix([[1, 1], [0, -1]])
@@ -191,6 +192,69 @@ def field_inertia(m):
     return pos, neg, zero
 
 
+def fraction_inertia(m):
+    """Inertia (pos, neg, zero) of a symmetric rational matrix, by congruence
+    reduction with exact Fraction pivots and hyperbolic pairs."""
+    m = [[Fraction(x) for x in row] for row in m]
+    pos = neg = zero = 0
+    while m:
+        size = len(m)
+        piv = next((i for i in range(size) if m[i][i]), None)
+        if piv is not None:
+            d = m[piv][piv]
+            if d > 0:
+                pos += 1
+            else:
+                neg += 1
+            rest = [k for k in range(size) if k != piv]
+            col = [m[k][piv] / d for k in rest]
+            m = [
+                [m[a][b] - c * m[piv][b] for b in rest] if c else [m[a][b] for b in rest]
+                for a, c in zip(rest, col)
+            ]
+            continue
+        pair = next(
+            ((i, j) for i in range(size) for j in range(i + 1, size) if m[i][j]),
+            None,
+        )
+        if pair is None:
+            zero += size
+            break
+        i, j = pair
+        pos += 1
+        neg += 1
+        b = m[i][j]
+        rest = [k for k in range(size) if k not in (i, j)]
+        ci = [m[k][i] / b for k in rest]
+        cj = [m[k][j] / b for k in rest]
+        m = [
+            [m[a][b] - ci[ia] * m[j][b] - cj[ia] * m[i][b] for b in rest]
+            for ia, a in enumerate(rest)
+        ]
+    return pos, neg, zero
+
+
+def litherland_sigma_total(p, q, m):
+    """Test-only oracle for the torus knot T(p, q) (Litherland, "Signatures
+    of iterated torus knots", 1979): the signature at e^(2 pi i x) is
+    -(#inside - #outside) over v = i/p + j/q, 0 < i < p, 0 < j < q, where
+    inside means x < v < x + 1.  Summed over x = r/m with floor counts, so
+    O(pq) at any m; None where some r/m is a jump, v or v - 1."""
+    big_p = p * q
+    total = 0
+    for i in range(1, p):
+        for j in range(1, q):
+            n = i * q + j * p  # v = n / big_p, in (0, 2)
+            if m * n % big_p == 0:
+                return None
+            # r in [1, m - 1] with m(n - big_p) < r big_p < m n
+            low = max(1, m * (n - big_p) // big_p + 1)
+            high = min(m - 1, m * n // big_p)
+            inside = max(0, high - low + 1)
+            total += 2 * inside - (m - 1)
+    return -total
+
+
 def test_seifert_validation():
     with pytest.raises(ValueError):
         SeifertMatrix([[1, 2], [3]])
@@ -343,6 +407,83 @@ def test_sigma_total_genus_ten_finishes_quickly():
     elapsed = time.perf_counter() - start
     assert total % 2 == 0
     assert elapsed < 5.0, elapsed
+
+
+TORUS_KNOTS = {"trefoil_right": (2, 3), "torus_2_5": (2, 5), "torus_2_7": (2, 7)}
+
+
+def test_sigma_total_matches_litherland(corpus_by_name):
+    for name, (p, q) in TORUS_KNOTS.items():
+        a = corpus_by_name[name].seifert
+        for m in [*range(1, 80), 1009, 10**6 + 3, 10**9 + 7]:
+            want = litherland_sigma_total(p, q, m)
+            if want is None:
+                with pytest.raises(SingularValueError):
+                    sigma_total(a, m)
+            else:
+                assert sigma_total(a, m) == want, (name, m)
+
+
+def test_sigma_total_cold_time_independent_of_m(corpus_by_name, clear_caches):
+    torus_2_7 = corpus_by_name["torus_2_7"].seifert
+    rng = random.Random(35)
+    for m in sorted({int(10 ** rng.uniform(1, 6)) for _ in range(25)} | {10**6}):
+        if litherland_sigma_total(2, 7, m) is None:
+            continue
+        clear_caches()
+        start = time.perf_counter()
+        sigma_total(torus_2_7, m)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 0.05, (m, elapsed)
+
+
+def test_tan2_enclosure_contains_true_value():
+    import mpmath
+
+    rng = random.Random(36)
+    big = 10**9 + 7
+    # r = m/4 is where the complementary angle takes over; at r = (m-1)/2,
+    # theta is within pi/m of pi
+    cases = [(1, 3), (1, 4), (2, 5), (499, 1000), (1, big), (big // 4, big), (big // 4 + 1, big)]
+    cases.append(((big - 1) // 2, big))
+    for _ in range(40):
+        m = rng.choice([rng.randint(3, 60), rng.randint(61, 10**6), rng.randint(10**6, 10**12)])
+        cases.append((rng.randint(1, (m - 1) // 2), m))
+
+    def mpf(x):
+        return mpmath.mpf(x.numerator) / x.denominator
+
+    for r, m in cases:
+        with mpmath.workdps(100):
+            true = mpmath.tan(mpmath.pi * r / m) ** 2
+            for w in (64, 128, 256):
+                lo, hi = _tan2_enclosure(r, m, w)
+                assert 0 <= lo and mpf(lo) <= true, (r, m, w)
+                assert hi is None or true <= mpf(hi), (r, m, w)
+        # at 256 bits every case here is bounded and tight
+        assert hi is not None and hi - lo <= hi * Fraction(1, 1 << 100), (r, m)
+
+
+def test_integer_inertia_matches_fraction_oracle():
+    rng = random.Random(37)
+    for trial in range(400):
+        n = trial % 11
+        m = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                m[i][j] = m[j][i] = rng.choice((0, 0, 1, -1, 2, -3, 7, -(10**12) - 39))
+        if n and trial % 3 == 1:  # all-zero diagonal: hyperbolic steps
+            for i in range(n):
+                m[i][i] = 0
+        if n > 1 and trial % 4 == 2:  # singular: a repeated row and column
+            k = rng.randrange(1, n)
+            m[k] = list(m[0])
+            for row in m:
+                row[k] = row[0]
+        assert _symmetric_inertia(m) == fraction_inertia(m), m
+    assert _symmetric_inertia([]) == (0, 0, 0)
+    assert _symmetric_inertia([[0, 1], [1, 0]]) == (1, 1, 0)
+    assert _symmetric_inertia([[0, 0], [0, 0]]) == (0, 0, 2)
 
 
 def run_without_mpmath(code):
