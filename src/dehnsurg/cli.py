@@ -129,6 +129,8 @@ def _cmd_casson_gordon(args) -> int:
     if record.seifert is None:
         raise ValueError(f"{record.name}: Casson-Gordon needs a Seifert matrix")
     slope = args.slope
+    if slope.p == 0:
+        raise ValueError("0-surgery does not yield a rational homology sphere")
     sigma = sigma_total(record.seifert, abs(slope.p))
     if args.verbose:
         print(f"s({slope.q},{slope.p})={dedekind_sum(slope.q, slope.p)}")

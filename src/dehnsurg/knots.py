@@ -1,12 +1,13 @@
 """Knot invariants from Seifert matrices.
 
-Covers the normalized symmetric Alexander polynomial, its second derivative
-at 1, Tristram-Levine signatures at roots of unity (exact: constant on the
-arcs between roots of the Alexander polynomial, which Sturm sequences
-isolate, with one integer congruence reduction per arc), the total
-signature sum (by counting the roots of unity on each arc: O(log m)
-placements per jump, none per root), and recognition of the
-Alexander-polynomial shape forced by L-space surgeries.
+Covers the normalized symmetric Alexander polynomial (interpolated from
+integer determinants at T = 0, 1, ..., n), its second derivative at 1,
+Tristram-Levine signatures at roots of unity (exact: constant on the arcs
+between roots of the Alexander polynomial, which Sturm sequences isolate,
+with one integer congruence reduction per arc), the total signature sum
+(by counting the roots of unity on each arc: O(log m) placements per
+jump, none per root), and recognition of the Alexander-polynomial shape
+forced by L-space surgeries.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .cyclotomic import (
     _poly_divexact,
     _poly_mul,
     _poly_sub,
-    _trim,
     cyclotomic_polynomial,
 )
 
@@ -58,40 +58,59 @@ class NotLSpaceFormError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Determinants over Z[T], entries as coefficient lists, low degree first.
+# Determinants over the integers.  det(A - T A^T) has degree at most n in T,
+# so it is recovered from its values at T = 0, 1, ..., n, each an integer
+# determinant: n + 1 eliminations of O(n^3) integer operations, where one
+# elimination over Z[T] costs O(n^5) coefficient operations.
 
 
-def _poly_matrix_det(rows):
-    """Determinant by fraction-free Bareiss elimination (Bareiss, 1968).
+def _int_det(rows) -> int:
+    """Determinant of an integer matrix by fraction-free Bareiss elimination
+    (Bareiss, 1968).
 
     After step k each trailing entry is a (k+1)-minor of the input, so the
-    division by the previous pivot is exact and entry degrees stay bounded
-    by the minor size: O(n^3) polynomial operations in all.
+    division by the previous pivot is exact and no entry outgrows a minor.
     """
-    # Trim first: [0, 0] is truthy but is the zero polynomial, and a zero
-    # pivot must never be chosen.
-    m = [[_trim(list(entry)) for entry in row] for row in rows]
-    n = len(m)
-    if n == 0:
-        return [1]
-    sign = 1
-    prev = [1]
-    for k in range(n - 1):
-        piv = next((i for i in range(k, n) if m[i][k]), None)
-        if piv is None:
-            return []
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
+    m = list(rows)
+    sign, prev = 1, 1
+    while len(m) > 1:
+        if not m[0][0]:
+            piv = next((i for i, row in enumerate(m) if row[0]), None)
+            if piv is None:
+                return 0
+            m[0], m[piv] = m[piv], m[0]
             sign = -sign
-        pivot, pivot_row = m[k][k], m[k]
-        for row in m[k + 1 :]:
-            lead = row[k]
-            for j in range(k + 1, n):
-                num = _poly_sub(_poly_mul(pivot, row[j]), _poly_mul(lead, pivot_row[j]))
-                row[j] = _poly_divexact(num, prev)
+        pivot, *rest = m[0]
+        m = [
+            [(pivot * x - lead * y) // prev for x, y in zip(tail, rest)]
+            for lead, *tail in m[1:]
+        ]
         prev = pivot
-    det = m[n - 1][n - 1]
-    return det if sign > 0 else [-c for c in det]
+    return sign * m[0][0] if m else 1
+
+
+def _interpolate(values) -> list[int]:
+    """The len(values) integer coefficients, low degree first, of the
+    polynomial of degree below len(values) taking values[t] at t = 0, 1, ...
+
+    Newton divided differences at consecutive integers are integers when
+    the polynomial has integer coefficients, so level k divides exactly by
+    k; a remainder means no such polynomial and raises ArithmeticError.
+    The Newton form sum_k c_k t(t-1)...(t-k+1) is then expanded in place.
+    """
+    c = list(values)
+    n = len(c)
+    # Level k: c[j] becomes the divided difference on t = j - k, ..., j.
+    for k in range(1, n):
+        for j in range(n - 1, k - 1, -1):
+            c[j], r = divmod(c[j] - c[j - 1], k)
+            if r:
+                raise ArithmeticError("values are not those of an integer polynomial")
+    # Horner: c[k:] becomes c_k + (t - k) * c[k+1:]; k = 0 subtracts nothing.
+    for k in range(n - 2, 0, -1):
+        for j in range(k, n - 1):
+            c[j] -= k * c[j + 1]
+    return c
 
 
 @dataclass(frozen=True)
@@ -112,9 +131,8 @@ class SeifertMatrix:
             raise ValueError("Seifert matrix must be square")
         if n % 2 != 0:
             raise ValueError("Seifert matrix must have even size")
-        skew = [[[rows[i][j] - rows[j][i]] for j in range(n)] for i in range(n)]
-        det = _poly_matrix_det(skew)
-        det_val = det[0] if det else 0
+        skew = [[x - y for x, y in zip(row, col)] for row, col in zip(rows, zip(*rows))]
+        det_val = _int_det(skew)
         if abs(det_val) != 1:
             raise ValueError(f"det(A - A^T) = {det_val}, not +-1: not a valid Seifert pairing")
 
@@ -225,15 +243,21 @@ class LSpaceForm:
 
 
 def alexander_from_seifert(matrix: SeifertMatrix) -> SymLaurentPoly:
-    """Normalized Alexander polynomial: det(A - T A^T) scaled to be symmetric
-    and equal to 1 at T = 1."""
+    """Normalized Alexander polynomial: D(T) = det(A - T A^T) scaled to be
+    symmetric and equal to 1 at T = 1.
+
+    D has degree at most n = size, so it is interpolated exactly from the
+    integer determinants D(0), D(1), ..., D(n).  All n + 1 points are used,
+    so the palindrome check below sees every coefficient.
+    """
     n = matrix.size
     if n == 0:
         return SymLaurentPoly(1)
     a = matrix.entries
-    rows = [[[a[i][j], -a[j][i]] for j in range(n)] for i in range(n)]
-    det = _poly_matrix_det(rows)
-    c = list(det) + [0] * (n + 1 - len(det))
+    pairs = [list(zip(row, col)) for row, col in zip(a, zip(*a))]
+    c = _interpolate(
+        [_int_det([[x - t * y for x, y in row] for row in pairs]) for t in range(n + 1)]
+    )
     if any(c[i] != c[n - i] for i in range(n + 1)):
         raise ArithmeticError("det(A - T A^T) is not palindromic; invalid Seifert pairing")
     half = n // 2
@@ -354,6 +378,8 @@ def _variations(seq, x: Fraction | None) -> int:
     """Sign changes along the sequence at x, or at +infinity for None."""
     if x is None:
         values = [p[-1] for p in seq]
+    elif not x:
+        values = [p[0] for p in seq if p[0]]
     else:
         values = [v for v in (_homogeneous(p, x) for p in seq) if v]
     return sum((s > 0) != (t > 0) for s, t in zip(values, values[1:]))
@@ -362,7 +388,7 @@ def _variations(seq, x: Fraction | None) -> int:
 def _roots_upto(seq, x: Fraction | None) -> int:
     """Number of distinct roots in (0, x], or in (0, inf) for None.  Exact
     for a squarefree sequence even when 0 or x is itself a root."""
-    return _variations(seq, Fraction(0)) - _variations(seq, x)
+    return _variations(seq, 0) - _variations(seq, x)
 
 
 def _root_bound(seq) -> Fraction:

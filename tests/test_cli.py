@@ -79,6 +79,14 @@ def test_casson_gordon_verbose(capsys):
     assert out.splitlines() == ["s(1,2)=0", "sigma(K,2)=-2", "2"]
 
 
+def test_casson_gordon_zero_slope_exits_1(capsys):
+    code, out, err = run(
+        capsys, "casson-gordon", "--knot", CORPUS, "--name", "trefoil_right", "--slope", "0/1"
+    )
+    assert code == 1 and out == ""
+    assert "0-surgery does not yield a rational homology sphere" in err
+
+
 def test_signature(capsys):
     code, out, _ = run(capsys, "signature", "--knot", CORPUS, "--name", "trefoil_right", "--m", "3")
     assert code == 0 and out == "-4\n"

@@ -25,8 +25,14 @@ from dehnsurg import (
     sigma_total,
     tl_signature,
 )
-from dehnsurg.cyclotomic import RealCyclotomicField
-from dehnsurg.knots import _poly_matrix_det, _symmetric_inertia, _tan2_enclosure
+from dehnsurg.cyclotomic import (
+    RealCyclotomicField,
+    _poly_divexact,
+    _poly_mul,
+    _poly_sub,
+    _trim,
+)
+from dehnsurg.knots import _int_det, _interpolate, _symmetric_inertia, _tan2_enclosure
 
 TREFOIL = SeifertMatrix([[-1, 1], [0, -1]])
 FIGURE_EIGHT = SeifertMatrix([[1, 1], [0, -1]])
@@ -100,6 +106,43 @@ def cofactor_det(rows):
         return total
 
     return minor(0, (1 << n) - 1)
+
+
+# Test-only second oracle, the package's former determinant path: Bareiss
+# elimination over Z[T], entries as coefficient lists, low degree first.
+
+
+def _poly_matrix_det(rows):
+    """Determinant by fraction-free Bareiss elimination (Bareiss, 1968).
+
+    After step k each trailing entry is a (k+1)-minor of the input, so the
+    division by the previous pivot is exact and entry degrees stay bounded
+    by the minor size: O(n^3) polynomial operations in all.
+    """
+    # Trim first: [0, 0] is truthy but is the zero polynomial, and a zero
+    # pivot must never be chosen.
+    m = [[_trim(list(entry)) for entry in row] for row in rows]
+    n = len(m)
+    if n == 0:
+        return [1]
+    sign = 1
+    prev = [1]
+    for k in range(n - 1):
+        piv = next((i for i in range(k, n) if m[i][k]), None)
+        if piv is None:
+            return []
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        pivot, pivot_row = m[k][k], m[k]
+        for row in m[k + 1 :]:
+            lead = row[k]
+            for j in range(k + 1, n):
+                num = _poly_sub(_poly_mul(pivot, row[j]), _poly_mul(lead, pivot_row[j]))
+                row[j] = _poly_divexact(num, prev)
+        prev = pivot
+    det = m[n - 1][n - 1]
+    return det if sign > 0 else [-c for c in det]
 
 
 def float_signature(matrix, r, m):
@@ -271,6 +314,11 @@ def test_alexander_examples():
     assert alexander_from_seifert(FIGURE_EIGHT) == SymLaurentPoly(3, (-1,))
     assert str(alexander_from_seifert(TREFOIL)) == "T - 1 + T^-1"
     assert str(alexander_from_seifert(FIGURE_EIGHT)) == "-T + 3 - T^-1"
+    # [[0, 1], [0, 0]] presents the unknot, so a block sum with it keeps the
+    # Alexander polynomial, though det A = 0.
+    assert alexander_from_seifert(SeifertMatrix([[0, 1], [0, 0]])) == SymLaurentPoly(1)
+    trefoil_plus_null = [[-1, 1, 0, 0], [0, -1, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]]
+    assert alexander_from_seifert(SeifertMatrix(trefoil_plus_null)) == SymLaurentPoly(-1, (1,))
 
 
 def test_mirror_equals_validated_negative_transpose(corpus):
@@ -610,3 +658,103 @@ def test_genus_ten_seifert_matrix_finishes_quickly():
     assert a.size == 20
     assert poly.a0 + 2 * sum(poly.higher) == 1
     assert elapsed < 5.0, elapsed
+
+
+def test_int_det_matches_cofactor_oracle():
+    rng = random.Random(38)
+    values = (0, 0, 0, 1, -1, 2, -3, 10**12 - 11, -(10**12) - 39)
+    for trial in range(220):
+        n = trial % 11
+        rows = [[rng.choice(values) for _ in range(n)] for _ in range(n)]
+        if n and trial % 4 == 1:  # zero leading columns force row swaps
+            for row in rows:
+                row[0] = 0
+            if n > 1:
+                rows[rng.randrange(1, n)][0] = rng.choice((1, -2))
+                for row in rows[: n // 2]:
+                    row[1] = 0
+        if n > 1 and trial % 4 == 2:  # singular: a repeated row
+            rows[rng.randrange(1, n)] = list(rows[0])
+        want = cofactor_det([[[x] for x in row] for row in rows])
+        assert _int_det(rows) == (want[0] if want else 0), rows
+    assert _int_det([]) == 1
+    assert _int_det([[0, 1], [2, 0]]) == -2
+    assert _int_det([[0, 0], [0, 5]]) == 0
+
+
+def _unimodular(rng, n):
+    """A random integer matrix of determinant 1: a product of elementary
+    row operations."""
+    p = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(2 * n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-1, 1, 2))
+        p[i] = [x + c * y for x, y in zip(p[i], p[j])]
+    return p
+
+
+def _congruent(a, p):
+    """The Seifert matrix P A P^T, which presents the same knot."""
+    n = len(a)
+    pa = [[sum(p[i][k] * a[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    return [[sum(pa[i][k] * p[j][k] for k in range(n)) for j in range(n)] for i in range(n)]
+
+
+def test_alexander_matches_both_determinant_oracles(corpus):
+    rng = random.Random(39)
+    matrices = [r.seifert for r in corpus if r.seifert is not None]
+    matrices += [random_seifert(rng, genus) for genus in range(1, 9)]
+    # det A = 0: the top (and, by symmetry, the bottom) coefficients of
+    # det(A - T A^T) vanish, and T = 0 gives a singular matrix.
+    null = [[0, 1], [0, 0]]
+    for genus in range(0, 4):
+        base = random_seifert(rng, genus).entries if genus else ()
+        for extra in (1, 2):
+            n = 2 * genus + 2 * extra
+            a = [[0] * n for _ in range(n)]
+            for i, row in enumerate(base):
+                a[i][: len(row)] = row
+            for b in range(extra):
+                k = 2 * genus + 2 * b
+                for i in range(2):
+                    a[k + i][k : k + 2] = null[i]
+            matrices.append(SeifertMatrix(a))
+            matrices.append(SeifertMatrix(_congruent(a, _unimodular(rng, n))))
+    for a in matrices:
+        e, n = a.entries, a.size
+        rows = [[[e[i][j], -e[j][i]] for j in range(n)] for i in range(n)]
+        c = _poly_matrix_det(rows)
+        if n <= 12:  # the cofactor oracle is exponential in n
+            assert c == cofactor_det(rows), e
+        c += [0] * (n + 1 - len(c))  # det(A - T A^T) = T^(n/2) * Delta(T)
+        half = n // 2
+        assert alexander_from_seifert(a) == SymLaurentPoly(c[half], c[half + 1 :]), e
+
+
+def test_interpolation_is_exact_or_raises():
+    rng = random.Random(40)
+    for n in range(0, 12):
+        coeffs = [rng.randint(-(10**6), 10**6) for _ in range(n + 1)]
+        values = [sum(c * t**k for k, c in enumerate(coeffs)) for t in range(n + 1)]
+        assert _interpolate(values) == coeffs
+    # t(t - 1)/2 takes integer values but has no integer coefficients
+    with pytest.raises(ArithmeticError):
+        _interpolate([0, 0, 1])
+    with pytest.raises(ArithmeticError):
+        _interpolate([1, 1, 2, 1, 1])
+
+
+def test_dense_size_twenty_validation_and_alexander_finish_quickly():
+    rng = random.Random(41)
+    n, g = 20, 10
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            a[i][j] = a[j][i] = rng.choice((-2, -1, 1, 2))
+    for i in range(g):
+        a[i][g + i] += 1
+    start = time.perf_counter()
+    poly = alexander_from_seifert(SeifertMatrix(a))
+    elapsed = time.perf_counter() - start
+    assert poly.a0 + 2 * sum(poly.higher) == 1
+    assert elapsed < 1.0, elapsed
