@@ -18,6 +18,7 @@ __all__ = [
     "Rational",
     "LensSpace",
     "sawtooth",
+    "dedekind_numerator",
     "dedekind_sum",
     "lens_lambda",
     "lens_tau_cg",
@@ -33,13 +34,9 @@ def sawtooth(x) -> Fraction:
     return x - math.floor(x) - Fraction(1, 2)
 
 
-def dedekind_sum(q: int, p: int) -> Fraction:
-    """Dedekind sum s(q,p) = sign(p) * sum_{k=1}^{|p|-1} ((k/p))((kq/p)).
-
-    Exact for arbitrary integers q and any nonzero p; coprimality is not
-    required (terms with p | kq vanish).  Satisfies s(q+p,p) = s(q,p) and
-    s(-q,p) = -s(q,p).
-    """
+def dedekind_numerator(q: int, p: int) -> tuple[int, int]:
+    """Integers u and den = 12|p|/gcd(q,p) with s(q,p) = u/den, so that
+    U = 12p s(q,p) is u itself for coprime q and p > 0."""
     if p == 0:
         raise ValueError("dedekind_sum requires p != 0")
     # s(q,p) = sign(p) s(q mod |p|, |p|), and s(gq, gb) = s(q, b).
@@ -48,7 +45,7 @@ def dedekind_sum(q: int, p: int) -> Fraction:
     g = math.gcd(a, b)
     a, b = a // g, b // g
     if a == 0:
-        return Fraction(0)
+        return 0, 12 * b
     # U(a,b) = 12b s(a,b) is an integer.  Reciprocity gives
     # a U(a,b) = a^2 + b^2 + 1 - 3ab - b U(b mod a, a), down to
     # U(1,b) = (b-1)(b-2); descend like Euclid, then climb back up.
@@ -59,7 +56,17 @@ def dedekind_sum(q: int, p: int) -> Fraction:
     u = (b - 1) * (b - 2)
     for a, b in reversed(descent):
         u = (a * a + b * b + 1 - 3 * a * b - b * u) // a
-    return Fraction(u if p > 0 else -u, 12 * b)
+    return (u if p > 0 else -u), 12 * b
+
+
+def dedekind_sum(q: int, p: int) -> Fraction:
+    """Dedekind sum s(q,p) = sign(p) * sum_{k=1}^{|p|-1} ((k/p))((kq/p)).
+
+    Exact for arbitrary integers q and any nonzero p; coprimality is not
+    required (terms with p | kq vanish).  Satisfies s(q+p,p) = s(q,p) and
+    s(-q,p) = -s(q,p).
+    """
+    return Fraction(*dedekind_numerator(q, p))
 
 
 @dataclass(frozen=True)

@@ -246,18 +246,20 @@ def alexander_from_seifert(matrix: SeifertMatrix) -> SymLaurentPoly:
     """Normalized Alexander polynomial: D(T) = det(A - T A^T) scaled to be
     symmetric and equal to 1 at T = 1.
 
-    D has degree at most n = size, so it is interpolated exactly from the
-    integer determinants D(0), D(1), ..., D(n).  All n + 1 points are used,
-    so the palindrome check below sees every coefficient.
+    D has degree at most n = size, so it is interpolated exactly from its
+    integer values D(0), D(1), ..., D(n).  All n + 1 points are used, so
+    the palindrome check below sees every coefficient.
     """
     n = matrix.size
     if n == 0:
         return SymLaurentPoly(1)
     a = matrix.entries
     pairs = [list(zip(row, col)) for row, col in zip(a, zip(*a))]
-    c = _interpolate(
-        [_int_det([[x - t * y for x, y in row] for row in pairs]) for t in range(n + 1)]
-    )
+    # D(1) = det(A - A^T) needs no elimination: a skew-symmetric integer
+    # matrix of even size has det = Pf^2 >= 0, so a valid pairing, whose
+    # determinant is +-1, has D(1) = +1; the mirror -A^T has the same pairing.
+    dets = (_int_det([[x - t * y for x, y in row] for row in pairs]) for t in range(2, n + 1))
+    c = _interpolate([_int_det(a), 1, *dets])
     if any(c[i] != c[n - i] for i in range(n + 1)):
         raise ArithmeticError("det(A - T A^T) is not palindromic; invalid Seifert pairing")
     half = n // 2

@@ -20,12 +20,11 @@ import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import partial
 from importlib import resources
 from itertools import combinations
 from pathlib import Path
 
-from .dedekind import dedekind_sum
+from .dedekind import dedekind_numerator
 from .hfcone import KnotFloerData, cone_rank_oracle, mirror_of, nu_of, rank_formula
 from .knots import (
     NotLSpaceFormError,
@@ -132,53 +131,55 @@ def _check_pair(s1: Slope, s2: Slope) -> int:
     return 1 if p1 > 0 else -1
 
 
-def _stage(record: KnotRecord, slopes, sign: int, tag: str):
-    """One stage's tag and values on the given surgeries (None if it does
-    not run).  The slopes have positive p, on the mirror knot when ``sign``
-    is -1, whose data only the stage that needs it reads.  After a
-    Casson-Gordon tie two Casson-Walker values differ exactly when
-    Delta''(1) != 0, so that stage runs only then, and the rank stage,
+def _stages(record: KnotRecord, slopes, sign: int):
+    """Each stage's tag, integer keys on the given surgeries and a function
+    from a surgery's index to its witness, computed when reached.  Keys tie
+    exactly when the stage's values do.  The slopes have positive p, on the
+    mirror knot when ``sign`` is -1, whose data only the stage that needs it
+    reads.  Past the homology stage only surgeries with equal p are
+    compared, and for coprime q, p the lens part -4p s(q,p) is -U/3 with
+    the integer U = 12p s(q,p).  After a Casson-Gordon tie two
+    Casson-Walker values lambda + (U - 12 q Delta''(1))/(12p) differ exactly
+    when Delta''(1) != 0, so that stage runs only then, and the rank stage,
     which it would always pre-empt, only otherwise.
     """
-    if tag == DIFFERENT_HOMOLOGY:
-        return tag, [s.p for s in slopes]
-    if tag == BY_CASSON_GORDON:
-        return tag, [-4 * s.p * dedekind_sum(s.q, s.p) for s in slopes]
+    ps = [s.p for s in slopes]
+    yield DIFFERENT_HOMOLOGY, ps, ps.__getitem__
+    us = [dedekind_numerator(s.q, s.p)[0] for s in slopes]
+    yield BY_CASSON_GORDON, us, lambda i: Fraction(-us[i], 3)
     delta2 = record.delta2
-    if tag == BY_CASSON_WALKER:
-        if delta2 == 0:
-            return tag, None
-        ambient = record.ambient if sign > 0 else record.ambient.negated()
-        return tag, [casson_walker_surgered(ambient, delta2, s) for s in slopes]
-    if delta2 != 0 or record.hf is None:
-        return tag, None
-    # Infinite surgery returns the ambient integral homology L-space,
-    # whose hat homology has rank 1.
-    hf = record.hf if sign > 0 else mirror_of(record.hf)
-    return tag, [1 if s.is_infinite else rank_formula(hf, s) for s in slopes]
+    if delta2 != 0:
+        keys = [u - 12 * s.q * delta2 for u, s in zip(us, slopes)]
+        # lambda + key/(12p), built as one fraction.
+        lam = Fraction(record.ambient.lambda_value * sign)
+        n, d = lam.numerator, lam.denominator
+        yield BY_CASSON_WALKER, keys, lambda i: Fraction(
+            12 * ps[i] * n + keys[i] * d, 12 * ps[i] * d
+        )
+    elif record.hf is not None:
+        # Infinite surgery returns the ambient integral homology L-space,
+        # whose hat homology has rank 1.
+        hf = record.hf if sign > 0 else mirror_of(record.hf)
+        ranks = [1 if s.is_infinite else rank_formula(hf, s) for s in slopes]
+        yield BY_HF_RANK, ranks, ranks.__getitem__
 
 
-def _stages(record: KnotRecord, slopes, sign: int):
-    """The stages on the given surgeries, each computed when reached."""
-    return map(partial(_stage, record, slopes, sign), _STAGES)
-
-
-def _first_difference(record: KnotRecord, stages, i: int, j: int) -> Verdict:
-    """The first stage whose values on surgeries i and j differ gives the
-    verdict; when every stage ties, the L-space form of the Alexander
-    polynomial does."""
-    for tag, values in stages:
-        if values is not None and values[i] != values[j]:
-            return Verdict(tag, values[i], values[j])
+def _first_difference(record: KnotRecord, stages, i: int, j: int):
+    """The tag and witnesses of the first stage whose keys on surgeries i
+    and j differ; when every stage ties, the L-space form of the Alexander
+    polynomial gives the tag, with no witnesses."""
+    for tag, keys, witness in stages:
+        if keys[i] != keys[j]:
+            return tag, witness(i), witness(j)
     try:
         form = parse_lspace_form(record.alexander)
     except NotLSpaceFormError:
-        return Verdict(INCONCLUSIVE)
+        return INCONCLUSIVE, None, None
     if form.exponents:
         raise ArithmeticError(
             "alternating Alexander form with nonzero top term cannot reach this step"
         )
-    return Verdict(UNKNOT_COSMETIC)
+    return UNKNOT_COSMETIC, None, None
 
 
 def distinguish(record: KnotRecord, s1: Slope, s2: Slope) -> Verdict:
@@ -192,7 +193,7 @@ def distinguish(record: KnotRecord, s1: Slope, s2: Slope) -> Verdict:
     sign = _check_pair(s1, s2)
     if sign < 0:
         s1, s2 = s1.negated(), s2.negated()
-    return _first_difference(record, _stages(record, (s1, s2), sign), 0, 1)
+    return Verdict(*_first_difference(record, _stages(record, (s1, s2), sign), 0, 1))
 
 
 def full_invariants(record: KnotRecord, slope: Slope):
@@ -271,12 +272,16 @@ def sweep(records, p_max: int, q_max: int) -> SweepReport:
             sign = 1 if p_signed > 0 else -1
             # Negative slopes are decided as their positive mirrors.
             group = _slope_group(abs(p_signed), q_max)
-            stages = list(_stages(record, group, sign))
+            # Each slope's witnesses are built once, not once per row.
+            stages = [
+                (tag, keys, list(map(witness, range(len(group)))).__getitem__)
+                for tag, keys, witness in _stages(record, group, sign)
+            ]
             for (a, s1), (b, s2) in combinations(enumerate(group), 2):
-                v = _first_difference(record, stages, a, b)
-                rows.append(SweepRow(record.name, p_signed, s1.q, s2.q, v.tag, v.value1, v.value2))
-                counts[v.tag] += 1
-                if v.tag == INCONCLUSIVE and not record.trivial:
+                tag, w1, w2 = _first_difference(record, stages, a, b)
+                rows.append(SweepRow(record.name, p_signed, s1.q, s2.q, tag, w1, w2))
+                counts[tag] += 1
+                if tag == INCONCLUSIVE and not record.trivial:
                     bad += 1
     return SweepReport(tuple(rows), dict(counts), bad)
 

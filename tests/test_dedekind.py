@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import dehnsurg
+from dehnsurg.dedekind import dedekind_numerator
 from dehnsurg import (
     LensSpace,
     dedekind_sum,
@@ -76,6 +77,19 @@ def test_dedekind_matches_definitional_sum():
         p = rng.randint(41, 2000) * rng.choice((1, -1))
         q = rng.randint(-3 * abs(p), 3 * abs(p))
         assert dedekind_sum(q, p) == brute_dedekind_sum(q, p), (q, p)
+
+
+def test_dedekind_numerator_denominator():
+    # den = 12|p|/gcd(q,p), so u = 12p s(q,p) for coprime q and p > 0.
+    for p in range(-40, 41):
+        if p == 0:
+            continue
+        for q in range(-50, 51):
+            u, den = dedekind_numerator(q, p)
+            assert den == 12 * abs(p) // math.gcd(q, p), (q, p)
+            assert Fraction(u, den) == loop_dedekind_sum(q, p), (q, p)
+    with pytest.raises(ValueError):
+        dedekind_numerator(3, 0)
 
 
 def test_dedekind_matches_integer_loop_at_large_p():

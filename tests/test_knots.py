@@ -731,6 +731,19 @@ def test_alexander_matches_both_determinant_oracles(corpus):
         assert alexander_from_seifert(a) == SymLaurentPoly(c[half], c[half + 1 :]), e
 
 
+def test_valid_seifert_pairings_have_determinant_plus_one(corpus):
+    # det(A - A^T) = Pf^2 >= 0 for an even-size skew-symmetric matrix, so a
+    # validated pairing has D(1) = +1, which alexander_from_seifert uses
+    # in place of an elimination; the mirror has the same pairing.
+    rng = random.Random(41)
+    matrices = [r.seifert for r in corpus if r.seifert is not None]
+    matrices += [random_seifert(rng, genus) for genus in range(1, 7)]
+    matrices += [SeifertMatrix(_congruent(a.entries, _unimodular(rng, a.size))) for a in matrices[-3:]]
+    for a in matrices + [a.mirror() for a in matrices]:
+        e = a.entries
+        assert _int_det([[x - y for x, y in zip(row, col)] for row, col in zip(e, zip(*e))]) == 1, e
+
+
 def test_interpolation_is_exact_or_raises():
     rng = random.Random(40)
     for n in range(0, 12):

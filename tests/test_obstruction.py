@@ -1,8 +1,11 @@
 import csv
+import hashlib
 import json
 import math
+import random
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -26,7 +29,11 @@ from dehnsurg import (
     mirror_record,
     sweep,
 )
-from dehnsurg.obstruction import SweepRow
+from dehnsurg.dedekind import dedekind_numerator, dedekind_sum
+from dehnsurg.hfcone import mirror_of, rank_formula
+from dehnsurg.knots import NotLSpaceFormError, parse_lspace_form
+from dehnsurg.obstruction import _STAGES, SweepRow, _check_pair, _stages
+from dehnsurg.surgery import casson_walker_surgered
 from conftest import reduced_slopes
 
 
@@ -222,8 +229,177 @@ def test_distinguish_reads_only_the_stages_it_needs(corpus_by_name, monkeypatch)
     monkeypatch.setattr("dehnsurg.obstruction.mirror_of", boom)
     assert distinguish(tref, *cw_pair) == expected[cw_pair]
     monkeypatch.setattr("dehnsurg.obstruction.casson_walker_surgered", boom)
+    # The Casson-Walker keys read Delta''(1), which nothing before them does.
+    monkeypatch.setattr("dehnsurg.obstruction.delta2_at_one", boom)
     for pair in cg_pairs:
         assert distinguish(tref, *pair) == expected[pair]
+
+
+# The Fraction-valued stage rule that the integer keys replaced, kept
+# verbatim as an oracle for distinguish.
+
+
+def _stage(record: KnotRecord, slopes, sign: int, tag: str):
+    """One stage's tag and values on the given surgeries (None if it does
+    not run).  The slopes have positive p, on the mirror knot when ``sign``
+    is -1, whose data only the stage that needs it reads.  After a
+    Casson-Gordon tie two Casson-Walker values differ exactly when
+    Delta''(1) != 0, so that stage runs only then, and the rank stage,
+    which it would always pre-empt, only otherwise.
+    """
+    if tag == DIFFERENT_HOMOLOGY:
+        return tag, [s.p for s in slopes]
+    if tag == BY_CASSON_GORDON:
+        return tag, [-4 * s.p * dedekind_sum(s.q, s.p) for s in slopes]
+    delta2 = record.delta2
+    if tag == BY_CASSON_WALKER:
+        if delta2 == 0:
+            return tag, None
+        ambient = record.ambient if sign > 0 else record.ambient.negated()
+        return tag, [casson_walker_surgered(ambient, delta2, s) for s in slopes]
+    if delta2 != 0 or record.hf is None:
+        return tag, None
+    # Infinite surgery returns the ambient integral homology L-space,
+    # whose hat homology has rank 1.
+    hf = record.hf if sign > 0 else mirror_of(record.hf)
+    return tag, [1 if s.is_infinite else rank_formula(hf, s) for s in slopes]
+
+
+def _first_difference(record: KnotRecord, stages, i: int, j: int) -> Verdict:
+    """The first stage whose values on surgeries i and j differ gives the
+    verdict; when every stage ties, the L-space form of the Alexander
+    polynomial does."""
+    for tag, values in stages:
+        if values is not None and values[i] != values[j]:
+            return Verdict(tag, values[i], values[j])
+    try:
+        form = parse_lspace_form(record.alexander)
+    except NotLSpaceFormError:
+        return Verdict(INCONCLUSIVE)
+    if form.exponents:
+        raise ArithmeticError(
+            "alternating Alexander form with nonzero top term cannot reach this step"
+        )
+    return Verdict(UNKNOT_COSMETIC)
+
+
+def fraction_rule_distinguish(record, s1, s2):
+    sign = _check_pair(s1, s2)
+    if sign < 0:
+        s1, s2 = s1.negated(), s2.negated()
+    stages = map(partial(_stage, record, (s1, s2), sign), _STAGES)
+    return _first_difference(record, stages, 0, 1)
+
+
+def oracle_records(corpus):
+    """The corpus plus a record in an ambient manifold with nonzero
+    Casson-Walker invariant and one with Delta''(1) = 0 and Floer data."""
+    poincare = ds.AmbientData(Fraction(2), "Sigma(2,3,5)")
+    alexander_one = KnotRecord(
+        name="alexander_one",
+        alexander=SymLaurentPoly(1),
+        hf=ds.KnotFloerData(2, (1, 2, 3, 2, 1), 1),
+    )
+    return corpus + [replace(corpus[1], name="in_poincare", ambient=poincare), alexander_one]
+
+
+def seeded_slope_pairs(rng, count):
+    """Same-sign pairs with |p| log-uniform up to 10^6, a third of them
+    with Casson-Gordon forced to tie (q2 = q1^-1 mod p, shifted by a
+    multiple of p), plus pairs with the infinite slope."""
+    pairs = [(Slope(1, 0), Slope(sign, 1)) for sign in (1, -1)]
+    while len(pairs) < count:
+        p = round(10 ** rng.uniform(0, 6))
+        sign = rng.choice((1, -1))
+        q1 = rng.randrange(1, 2 * p + 2)
+        if math.gcd(p, q1) != 1:
+            continue
+        kind = rng.randrange(4)
+        if kind == 0:
+            q2 = pow(q1, -1, p) + p * rng.randrange(3) if p > 1 else rng.randrange(2, 9)
+        elif kind == 1:
+            pairs.append((Slope(sign * p, q1), Slope(1, 0)))
+            continue
+        else:
+            q2 = rng.randrange(1, 2 * p + 2)
+        if q2 > 0 and q2 != q1 and math.gcd(p, q2) == 1:
+            pairs.append((Slope(sign * p, q1), Slope(sign * p, q2)))
+    return pairs
+
+
+def test_distinguish_matches_the_fraction_rule(corpus):
+    rng = random.Random(20261018)
+    tags = set()
+    for record in oracle_records(corpus):
+        pairs = seeded_slope_pairs(rng, 150) + list(slope_pairs_same_p(4, 5))
+        for s1, s2 in pairs + [(s1.negated(), s2.negated()) for s1, s2 in pairs]:
+            v = distinguish(record, s1, s2)
+            expected = fraction_rule_distinguish(record, s1, s2)
+            assert v == expected, (record.name, s1, s2)
+            assert (type(v.value1), type(v.value2)) == (
+                type(expected.value1),
+                type(expected.value2),
+            )
+            tags.add(v.tag)
+    assert tags == {
+        DIFFERENT_HOMOLOGY,
+        BY_CASSON_GORDON,
+        BY_CASSON_WALKER,
+        BY_HF_RANK,
+        UNKNOT_COSMETIC,
+    }
+
+
+def test_integer_keys_match_the_values():
+    for p in range(1, 301):
+        for q in range(1, p + 1):
+            if math.gcd(p, q) != 1:
+                continue
+            u, den = dedekind_numerator(q, p)
+            assert den == 12 * p
+            assert u == 12 * p * dedekind_sum(q, p)
+            assert Fraction(-u, 3) == ds.lens_tau_cg(LensSpace(p, q))
+
+
+def test_stage_keys_tie_exactly_when_the_values_do(corpus):
+    knots = [record for record in corpus if record.delta2 != 0]
+    assert len({record.delta2 for record in knots}) > 2
+    for record in knots:
+        for lam in (Fraction(0), Fraction(2), Fraction(-1, 3)):
+            ambient = ds.AmbientData(lam, "Y")
+            knot = replace(record, ambient=ambient)
+            delta2 = record.delta2
+            for sign in (1, -1):
+                signed = ambient if sign > 0 else ambient.negated()
+                for p in range(1, 16):
+                    group = [Slope(1, 0)] if p == 1 else []
+                    group += [Slope(p, q) for q in range(1, 16) if math.gcd(p, q) == 1]
+                    stages = {tag: (keys, witness) for tag, keys, witness in _stages(knot, group, sign)}
+                    cg_keys, cg_witness = stages[BY_CASSON_GORDON]
+                    cw_keys, cw_witness = stages[BY_CASSON_WALKER]
+                    cg = [-4 * s.p * dedekind_sum(s.q, s.p) for s in group]
+                    cw = [casson_walker_surgered(signed, delta2, s) for s in group]
+                    assert [cg_witness(i) for i in range(len(group))] == cg
+                    assert [cw_witness(i) for i in range(len(group))] == cw
+                    assert all(type(cw_witness(i)) is Fraction for i in range(len(group)))
+                    for i in range(len(group)):
+                        for j in range(len(group)):
+                            assert (cg_keys[i] == cg_keys[j]) == (cg[i] == cg[j])
+                            assert (cw_keys[i] == cw_keys[j]) == (cw[i] == cw[j])
+
+
+SWEEP_CSV_SHA256 = {
+    10: "677e9c62addfaa8fecdd34042a46aa89a10f17aaec660dced3b47c9d5f31c058",
+    30: "febb8240cf6f1850e82f20ec631912560ce1d34348f18c1910adac87a6aa9d24",
+}
+
+
+@pytest.mark.parametrize("box", sorted(SWEEP_CSV_SHA256))
+def test_sweep_csv_bytes_are_pinned(corpus, box):
+    # The bytes `dehnsurg sweep` writes to --out for the bundled corpus at
+    # --pmax N --qmax N.
+    text = "\n".join(sweep(corpus, box, box).csv_lines()) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == SWEEP_CSV_SHA256[box]
 
 
 def test_sweep_figure_eight_never_inconclusive(corpus_by_name):
