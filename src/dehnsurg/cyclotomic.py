@@ -1,8 +1,8 @@
-"""Exact polynomial helpers, cyclotomic polynomials and real cyclotomic
-fields Q(2cos(2pi/N)).
+"""Exact polynomial helpers, cyclotomic polynomials, rigorous fixed-point
+cosines and real cyclotomic fields Q(2cos(2pi/N)).
 
-The polynomial helpers and minimal polynomials serve the rest of the
-package.  The fields are off its runtime path: signatures come from
+The polynomial helpers, minimal polynomials and cosines serve the rest of
+the package.  The fields are off its runtime path: signatures come from
 `knots`, and the tests check them against an exact computation over these
 fields.
 
@@ -10,8 +10,8 @@ Field elements are polynomials in u = 2cos(2pi/N) reduced modulo the
 minimal polynomial of u, with Fraction coefficients, so comparison with
 zero is decided exactly.  Signs of nonzero elements are certified by
 evaluating the polynomial on a shrinking rational interval enclosure of u;
-the enclosure comes from mpmath's validated interval cosine (imported on
-first use) and every subsequent interval operation is exact over
+the enclosure comes from the fixed-point cosine below, whose error bound
+is proved, and every subsequent interval operation is exact over
 Fractions, so a verdict is never the product of rounding.
 """
 
@@ -97,84 +97,86 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(num)
 
 
+def _in_two_cos(a0: int, higher) -> list:
+    """a0 + sum_j higher[j-1] * 2cos(j theta) as an integer polynomial in
+    x = 2cos(theta), from 2cos(j theta) = x * 2cos((j-1) theta) - 2cos((j-2) theta)."""
+    out = [a0]
+    prev, cur = [2], [0, 1]
+    for c in higher:
+        out = _poly_add(out, [c * x for x in cur])
+        prev, cur = cur, _poly_sub(_poly_mul([0, 1], cur), prev)
+    return out
+
+
 @lru_cache(maxsize=None)
 def cos_minimal_polynomial(n: int) -> tuple[int, ...]:
     """Minimal polynomial of u = 2cos(2pi/n) over Q, monic, for n >= 3.
 
-    Phi_n(z) is palindromic of even degree phi(n), so it can be written as
-    z^{phi(n)/2} * psi(z + 1/z); psi is the minimal polynomial of u.  The
-    peeling loop below strips one y-power at a time, and the factorization
-    is re-verified symbolically before returning.
+    Phi_n is palindromic of even degree phi(n) = 2h, so at z = e^(i theta)
+    z^-h Phi_n(z) = Phi_n[h] + sum_j Phi_n[h+j] * 2cos(j theta), a monic
+    polynomial of degree h in 2cos(theta) that vanishes at u.
     """
     if n < 3:
         raise ValueError("need n >= 3")
-    phi = list(cyclotomic_polynomial(n))
-    deg = len(phi) - 1
-    if deg % 2 != 0 or phi != phi[::-1]:
-        raise ArithmeticError(f"Phi_{n} is not palindromic of even degree")
-    half = deg // 2
-    psi = [0] * (half + 1)
-    f = list(phi)
-    while f:
-        d = len(f) - 1
-        if d % 2 != 0:
-            raise ArithmeticError("odd degree while peeling palindrome")
-        k = d // 2
-        c = f[-1]
-        psi[k] = c
-        sq = [1]
-        for _ in range(k):
-            sq = _poly_mul(sq, [1, 0, 1])  # (x^2 + 1)^k
-        f = _poly_sub(f, [c * t for t in sq])
-        if f:
-            low = next(i for i, t in enumerate(f) if t)
-            if low == 0:
-                raise ArithmeticError("palindrome peeling stalled")
-            f = f[low:]
-    # Verify Phi_n(x) = sum_k psi_k x^(half-k) (x^2+1)^k exactly.
-    check: list = []
-    for k, c in enumerate(psi):
-        if not c:
-            continue
-        term = [1]
-        for _ in range(k):
-            term = _poly_mul(term, [1, 0, 1])
-        term = _poly_mul(term, [0] * (half - k) + [c])
-        check = _poly_add(check, term)
-    if check != phi:
-        raise ArithmeticError(f"compact form of Phi_{n} failed verification")
-    if psi[-1] != 1:
-        raise ArithmeticError("minimal polynomial is not monic")
-    return tuple(psi)
+    phi = cyclotomic_polynomial(n)
+    h = (len(phi) - 1) // 2
+    return tuple(_in_two_cos(phi[h], phi[h + 1 :]))
 
 
-def _mpf_tuple_to_fraction(t) -> Fraction:
-    sign, man, exp, _bc = t
-    man = int(man)
-    if sign:
-        man = -man
-    if exp >= 0:
-        return Fraction(man * (1 << exp))
-    return Fraction(man, 1 << (-exp))
+@lru_cache(maxsize=None)
+def _pi_fixed(w: int) -> tuple[int, int]:
+    """(p, e) with |pi * 2^w - p| <= e, from Machin's formula
+    pi = 16 atan(1/5) - 4 atan(1/239) summed in w-bit fixed point."""
+
+    def atan_inv(n):
+        # Term k is floor(2^w / ((2k+1) n^(2k+1))), less than 1 below the
+        # true term, and once the power reaches 0 the alternating tail is
+        # below 1: k terms are off by less than k + 1 in all.
+        total, power, k = 0, (1 << w) // n, 0
+        while power:
+            term = power // (2 * k + 1)
+            total += -term if k % 2 else term
+            power //= n * n
+            k += 1
+        return total, k + 1
+
+    a, err_a = atan_inv(5)
+    b, err_b = atan_inv(239)
+    return 16 * a - 4 * b, 16 * err_a + 4 * err_b
+
+
+def _cos_fixed(a: int, b: int, w: int) -> tuple[int, int]:
+    """(c, e) with |cos(pi a/b) * 2^w - c| <= e, for 0 <= a/b <= 1/2.
+
+    The alternating Taylor series is summed in w-bit fixed point at the
+    fixed-point angle x, which is off by at most e_pi + 1.  With x <= pi/2
+    every floored term is off by less than 2, the terms decrease after the
+    first, and the tail after the first zero term is below 2; cos is
+    1-Lipschitz, so the angle's error adds as it is.
+    """
+    p, err_pi = _pi_fixed(w)
+    x = p * a // b
+    x2, shift = x * x, 2 * w
+    total = term = 1 << w
+    k = 0
+    while term:
+        k += 1
+        term = term * x2 // ((2 * k - 1) * 2 * k << shift)
+        total += -term if k % 2 else term
+    return total, 2 * k + 2 + err_pi + 1
 
 
 @lru_cache(maxsize=None)
 def _generator_enclosure(n: int, prec: int) -> tuple[Fraction, Fraction]:
-    """Rational interval [lo, hi] containing 2cos(2pi/n), width ~ 2^-prec.
-
-    A fresh interval context keeps the working precision local, so
-    concurrent callers never observe each other's settings.
-    """
-    import mpmath
-
-    ctx = mpmath.ctx_iv.MPIntervalContext()
-    ctx.prec = prec
-    x = 2 * ctx.cos(2 * ctx.pi / n)
-    a, b = x._mpi_
-    lo, hi = _mpf_tuple_to_fraction(a), _mpf_tuple_to_fraction(b)
-    if lo > hi:
-        raise ArithmeticError("inverted enclosure from mpmath")
-    return lo, hi
+    """Rational interval [lo, hi] containing 2cos(2pi/n), n >= 3, of width
+    a small multiple of 2^-prec.  For n = 3 the angle is past pi/2, where
+    the series does not run, and cos(2pi/3) = -cos(pi/3)."""
+    if n == 3:
+        c, e = _cos_fixed(1, 3, prec)
+        c = -c
+    else:
+        c, e = _cos_fixed(2, n, prec)
+    return Fraction(2 * (c - e), 1 << prec), Fraction(2 * (c + e), 1 << prec)
 
 
 _MAX_SIGN_PREC = 1 << 15
@@ -338,12 +340,8 @@ class RealCyclotomicField:
         return FieldElement(self, [0, 1])
 
     def two_cos_multiple(self, k: int) -> FieldElement:
-        """The element 2cos(2pi*k/n), via the recurrence for 2cos(k*theta)."""
+        """The element 2cos(2pi*k/n), 2cos(k*theta) as a polynomial in u."""
         k = abs(k) % self.order
-        prev, cur = self.scalar(2), self.generator()
         if k == 0:
-            return prev
-        u = self.generator()
-        for _ in range(k - 1):
-            prev, cur = cur, u * cur - prev
-        return cur
+            return self.scalar(2)
+        return FieldElement(self, _in_two_cos(0, [0] * (k - 1) + [1]))

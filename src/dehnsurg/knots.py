@@ -18,11 +18,12 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .cyclotomic import (
+    _cos_fixed,
     _frac_divmod,
+    _in_two_cos,
     _poly_add,
     _poly_divexact,
     _poly_mul,
-    _poly_sub,
     cyclotomic_polynomial,
 )
 
@@ -329,17 +330,6 @@ def _in_u(poly_x) -> list:
     return out
 
 
-def _alexander_in_two_cos(poly: SymLaurentPoly) -> list:
-    """Delta(e^(i theta)) as an integer polynomial in x = 2cos(theta), from
-    2cos(j theta) = x * 2cos((j-1) theta) - 2cos((j-2) theta)."""
-    out = [poly.a0]
-    prev, cur = [2], [0, 1]
-    for c in poly.higher:
-        out = _poly_add(out, [c * x for x in cur])
-        prev, cur = cur, _poly_sub(_poly_mul([0, 1], cur), prev)
-    return out
-
-
 def _primitive(p) -> tuple:
     """The positive multiple of a rational polynomial with coprime integer
     coefficients: signs, and so Sturm counts, are unchanged."""
@@ -406,51 +396,8 @@ def _jumps(matrix: SeifertMatrix):
     the top coefficient of D is Delta(-1) != 0, so the jumps are exactly
     the positive roots of D."""
     poly = alexander_from_seifert(matrix)
-    seq = _sturm(_in_u(_alexander_in_two_cos(poly)))
+    seq = _sturm(_in_u(_in_two_cos(poly.a0, poly.higher)))
     return poly, seq, _roots_upto(seq, None)
-
-
-@lru_cache(maxsize=None)
-def _pi_fixed(w: int) -> tuple[int, int]:
-    """(p, e) with |pi * 2^w - p| <= e, from Machin's formula
-    pi = 16 atan(1/5) - 4 atan(1/239) summed in w-bit fixed point."""
-
-    def atan_inv(n):
-        # Term k is floor(2^w / ((2k+1) n^(2k+1))), less than 1 below the
-        # true term, and once the power reaches 0 the alternating tail is
-        # below 1: k terms are off by less than k + 1 in all.
-        total, power, k = 0, (1 << w) // n, 0
-        while power:
-            term = power // (2 * k + 1)
-            total += -term if k % 2 else term
-            power //= n * n
-            k += 1
-        return total, k + 1
-
-    a, err_a = atan_inv(5)
-    b, err_b = atan_inv(239)
-    return 16 * a - 4 * b, 16 * err_a + 4 * err_b
-
-
-def _cos_fixed(a: int, b: int, w: int) -> tuple[int, int]:
-    """(c, e) with |cos(pi a/b) * 2^w - c| <= e, for 0 <= a/b <= 1/2.
-
-    The alternating Taylor series is summed in w-bit fixed point at the
-    fixed-point angle x, which is off by at most e_pi + 1.  With x <= pi/2
-    every floored term is off by less than 2, the terms decrease after the
-    first, and the tail after the first zero term is below 2; cos is
-    1-Lipschitz, so the angle's error adds as it is.
-    """
-    p, err_pi = _pi_fixed(w)
-    x = p * a // b
-    x2, shift = x * x, 2 * w
-    total = term = 1 << w
-    k = 0
-    while term:
-        k += 1
-        term = term * x2 // ((2 * k - 1) * 2 * k << shift)
-        total += -term if k % 2 else term
-    return total, 2 * k + 2 + err_pi + 1
 
 
 def _tan2_enclosure(r: int, m: int, w: int) -> tuple[Fraction, Fraction | None]:

@@ -23,6 +23,7 @@ from fractions import Fraction
 from importlib import resources
 from itertools import combinations
 from pathlib import Path
+from typing import NamedTuple
 
 from .dedekind import dedekind_numerator
 from .hfcone import KnotFloerData, cone_rank_oracle, mirror_of, nu_of, rank_formula
@@ -164,22 +165,27 @@ def _stages(record: KnotRecord, slopes, sign: int):
         yield BY_HF_RANK, ranks, ranks.__getitem__
 
 
-def _first_difference(record: KnotRecord, stages, i: int, j: int):
+def _first_difference(stages, i: int, j: int):
     """The tag and witnesses of the first stage whose keys on surgeries i
-    and j differ; when every stage ties, the L-space form of the Alexander
-    polynomial gives the tag, with no witnesses."""
+    and j differ, or None when every stage ties."""
     for tag, keys, witness in stages:
         if keys[i] != keys[j]:
             return tag, witness(i), witness(j)
+    return None
+
+
+def _tie_tag(record: KnotRecord) -> str:
+    """The tag when every stage ties, from the L-space form of the
+    Alexander polynomial."""
     try:
         form = parse_lspace_form(record.alexander)
     except NotLSpaceFormError:
-        return INCONCLUSIVE, None, None
+        return INCONCLUSIVE
     if form.exponents:
         raise ArithmeticError(
             "alternating Alexander form with nonzero top term cannot reach this step"
         )
-    return UNKNOT_COSMETIC, None, None
+    return UNKNOT_COSMETIC
 
 
 def distinguish(record: KnotRecord, s1: Slope, s2: Slope) -> Verdict:
@@ -193,7 +199,8 @@ def distinguish(record: KnotRecord, s1: Slope, s2: Slope) -> Verdict:
     sign = _check_pair(s1, s2)
     if sign < 0:
         s1, s2 = s1.negated(), s2.negated()
-    return Verdict(*_first_difference(record, _stages(record, (s1, s2), sign), 0, 1))
+    found = _first_difference(_stages(record, (s1, s2), sign), 0, 1)
+    return Verdict(*found) if found else Verdict(_tie_tag(record))
 
 
 def full_invariants(record: KnotRecord, slope: Slope):
@@ -216,8 +223,7 @@ def full_invariants(record: KnotRecord, slope: Slope):
     return lam, tau, rank
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     name: str
     p: int
     q1: int
@@ -240,7 +246,7 @@ class SweepReport:
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(("name", "p", "q1", "q2", "tag", "witness1", "witness2"))
-        writer.writerows((r.name, r.p, r.q1, r.q2, r.tag, r.witness1, r.witness2) for r in self.rows)
+        writer.writerows(self.rows)
         return out.getvalue().split("\n")[:-1]
 
 
@@ -268,6 +274,7 @@ def sweep(records, p_max: int, q_max: int) -> SweepReport:
     counts: Counter = Counter()
     bad = 0
     for record in records:
+        tie = None  # the all-tie outcome, fixed per record
         for p_signed in [p for p in range(-p_max, p_max + 1) if p != 0]:
             sign = 1 if p_signed > 0 else -1
             # Negative slopes are decided as their positive mirrors.
@@ -278,7 +285,12 @@ def sweep(records, p_max: int, q_max: int) -> SweepReport:
                 for tag, keys, witness in _stages(record, group, sign)
             ]
             for (a, s1), (b, s2) in combinations(enumerate(group), 2):
-                tag, w1, w2 = _first_difference(record, stages, a, b)
+                found = _first_difference(stages, a, b)
+                if found is None:
+                    if tie is None:
+                        tie = (_tie_tag(record), None, None)
+                    found = tie
+                tag, w1, w2 = found
                 rows.append(SweepRow(record.name, p_signed, s1.q, s2.q, tag, w1, w2))
                 counts[tag] += 1
                 if tag == INCONCLUSIVE and not record.trivial:

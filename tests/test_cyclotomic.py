@@ -2,10 +2,12 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from dehnsurg.cyclotomic import (
     RealCyclotomicField,
+    _generator_enclosure,
     cos_minimal_polynomial,
     cyclotomic_polynomial,
 )
@@ -46,8 +48,32 @@ def test_cos_minimal_polynomials():
 
 
 def test_cos_minimal_polynomial_degree():
-    for n in range(3, 50):
-        assert len(cos_minimal_polynomial(n)) - 1 == euler_phi(n) // 2
+    # Monic of degree phi(n)/2, vanishing at every conjugate 2cos(2pi k/n).
+    with mpmath.workdps(100):
+        for n in range(3, 121):
+            psi = cos_minimal_polynomial(n)
+            assert len(psi) - 1 == euler_phi(n) // 2 and psi[-1] == 1, n
+            for k in range(1, n):
+                if math.gcd(k, n) == 1:
+                    x = 2 * mpmath.cos(2 * mpmath.pi * k / n)
+                    assert abs(mpmath.polyval(psi[::-1], x)) < mpmath.mpf(10) ** -50, (n, k)
+
+
+def test_generator_enclosure_brackets_mpmath_interval_cosine():
+    for prec in (64, 256, 1024):
+        ctx = mpmath.ctx_iv.MPIntervalContext()
+        ctx.prec = prec + 64  # the dyadic ends below are exact at this precision
+        for n in range(3, 201):
+            lo, hi = _generator_enclosure(n, prec)
+            u = 2 * ctx.cos(2 * ctx.pi / n)
+            assert ctx.mpf(lo.numerator) / lo.denominator <= u, (n, prec)
+            assert u <= ctx.mpf(hi.numerator) / hi.denominator, (n, prec)
+    # The error bound grows with the number of series terms, linearly in prec.
+    precs = [64 << i for i in range(5)]
+    for n in range(3, 201):
+        widths = [hi - lo for lo, hi in (_generator_enclosure(n, prec) for prec in precs)]
+        assert all(b < a for a, b in zip(widths, widths[1:])), n
+        assert all(w * (1 << prec) < 32 * prec for w, prec in zip(widths, precs)), n
 
 
 def test_generator_satisfies_modulus():

@@ -555,6 +555,42 @@ def test_signatures_do_not_load_mpmath():
     assert run_without_mpmath(code) == 0
 
 
+def test_every_command_and_field_sign_runs_with_mpmath_blocked(tmp_path):
+    code = f"""
+import sys
+sys.modules["mpmath"] = None  # any import of mpmath now raises ImportError
+import dehnsurg as ds
+from dehnsurg.cli import main
+from dehnsurg.cyclotomic import RealCyclotomicField
+
+corpus = str(ds.bundled_corpus_path())
+knot = ["--knot", corpus, "--name", "torus_2_5"]
+commands = [
+    ["dedekind", "1", "3"],
+    ["lens", "3", "1"],
+    ["alexander", *knot],
+    ["casson-walker", *knot, "--slope", "1/2"],
+    ["casson-gordon", *knot, "--slope", "5/2", "--verbose"],
+    ["signature", *knot, "--m", "13"],
+    ["hf-rank", *knot, "--slope", "3/1", "--both"],
+    ["distinguish", *knot, "--slopes", "5/1", "5/2", "--verbose"],
+    ["sweep", "--knot", corpus, "--pmax", "4", "--qmax", "4", "--out", {str(tmp_path / "s.csv")!r}],
+]
+for argv in commands:
+    assert main(argv) == 0, argv
+for n, sign in ((3, -1), (4, 0), (8, 1), (97, 1)):
+    assert RealCyclotomicField(n).generator().sign() == sign, n
+"""
+    src = str(Path(dehnsurg.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+
+
 def test_signature_symmetries():
     rng = random.Random(13)
     matrices = [TREFOIL, FIGURE_EIGHT] + [random_seifert(rng, rng.randint(1, 2)) for _ in range(8)]
