@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .dedekind import LensSpace, dedekind_sum, lens_lambda, lens_tau_cg
 from .hfcone import cone_rank_oracle, rank_formula
-from .knots import sigma_total
+from .knots import SingularValueError, sigma_total
 from .obstruction import distinguish, full_invariants, load_knots, sweep
 from .surgery import Slope, casson_gordon_surgered, casson_walker_surgered
 
@@ -179,7 +179,11 @@ def _cmd_distinguish(args) -> int:
                 print(f"s({s.q},{s.p})={dedekind_sum(s.q, s.p)}")
         if record.seifert is not None and not (s1.is_infinite or s2.is_infinite):
             if abs(s1.p) == abs(s2.p):
-                print(f"sigma(K,{abs(s1.p)})={sigma_total(record.seifert, abs(s1.p))}")
+                try:
+                    sigma = sigma_total(record.seifert, abs(s1.p))
+                except SingularValueError:
+                    sigma = "undefined"
+                print(f"sigma(K,{abs(s1.p)})={sigma}")
         for label, s in (("invariants1", s1), ("invariants2", s2)):
             lam, tau, rank = full_invariants(record, s)
             print(f"{label}: lambda={lam} tau_cg={tau} hf_rank={rank}")

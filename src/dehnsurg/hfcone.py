@@ -11,6 +11,13 @@ formula is implemented independently so the two routes can be compared.
 Maps with rank-one target are encoded as bits; where a source has rank
 above one, the nonzero map is realized as (1, 0, ..., 0), which matches
 the one-dimensional-image lemma satisfied by data coming from knots.
+
+The cone is truncated to the indices t with |floor(t/q)| <= W,
+W = g + ceil(|p|/q) + 1 (Ozsvath-Szabo, "Knot Floer homology and rational
+surgeries", section 4).  From W = g + ceil(|p|/q) on, the columns with
+|floor(t/q)| <= g keep both their targets, and each further column has
+rank one and one nonzero map, onto its own row, so the tails cancel; see
+build_cone.
 """
 
 from __future__ import annotations
@@ -158,10 +165,20 @@ class ConeMatrix:
 def build_cone(data: KnotFloerData, slope: Slope, spinc: int, extra_window: int = 0) -> ConeMatrix:
     """Assemble the truncated cone differential for one Spin^c class.
 
-    The A-part keeps indices t with floor(t/q) in [-W, W], W = g + |p| + 1
-    (+ extra padding); the B-part keeps t in [-Wq + p, (W+1)q - 1], which is
-    exactly what survives cancelling the v- and h-isomorphisms outside the
-    window.  Requires q >= 1; orientation issues are the caller's business.
+    The A-part keeps indices t with s = floor(t/q) in [-W, W],
+    W = g + ceil(|p|/q) + 1 (+ extra padding), the B-part keeps t in
+    [-Wq + p, (W+1)q - 1], and both keep only the class t = spinc (mod |p|).
+    A_t maps to B_t when its v-map is nonzero and to B_{t+p} when its h-map
+    is.  Requires q >= 1; orientation issues are the caller's business.
+
+    Why this window suffices: from W = g + ceil(|p|/q) on, every A-column
+    with |s| <= g has both targets, B_t and B_{t+p}, inside the B-range.
+    Past that, widening W by one adds, per class, the A-indices with
+    |s| = W + 1 and as many new B-indices beyond both ends of the B-range.
+    Each new A-column has rank one and one nonzero map (the v-map above g,
+    the h-map below -g), onto its own new B-row, so the matrix rank grows
+    by the number of new columns and the homology rank is unchanged: the
+    tails cancel.  The + 1 is a margin.
     """
     p, q = slope.p, slope.q
     if q < 1:
@@ -171,30 +188,28 @@ def build_cone(data: KnotFloerData, slope: Slope, spinc: int, extra_window: int 
     pp = abs(p)
     if not 0 <= spinc < pp:
         raise ValueError(f"Spin^c index must lie in [0, {pp})")
-    w = data.g + pp + 1 + extra_window
+    w = data.g + -(-pp // q) + 1 + extra_window
     a_lo, a_hi = -w * q, (w + 1) * q - 1
-    b_lo, b_hi = -w * q + p, (w + 1) * q - 1
-
-    def class_range(lo, hi):
-        start = lo + ((spinc - lo) % pp)
-        return range(start, hi + 1, pp)
-
-    b_indices = tuple(class_range(b_lo, b_hi))
-    row_of = {t: k for k, t in enumerate(b_indices)}
-    a_indices = []
+    a_indices = range(a_lo + (spinc - a_lo) % pp, a_hi + 1, pp)
+    # Both index sets step by |p| and the B-part starts at a_indices[0] + p,
+    # so column i, for t = a_indices[i], has its h-target B_{t+p} in row i
+    # and its v-target B_t in row i - sign(p).
+    b_indices = range(a_indices.start + p, a_hi + 1, pp)
+    n_rows = len(b_indices)
+    v_row = -1 if p > 0 else 1
+    g, threshold, ranks = data.g, data.v_threshold, data.ranks
     a_dims = []
     columns = []
-    for t in class_range(a_lo, a_hi):
+    for i, t in enumerate(a_indices):
         s = t // q
         vec = 0
-        if data.v_nonzero(s) and t in row_of:
-            vec |= 1 << row_of[t]
-        if data.h_nonzero(s) and (t + p) in row_of:
-            vec |= 1 << row_of[t + p]
-        a_indices.append(t)
-        a_dims.append(data.a_rank(s))
+        if s >= threshold and 0 <= i + v_row < n_rows:  # v_nonzero(s)
+            vec = 1 << (i + v_row)
+        if s <= -threshold and i < n_rows:  # h_nonzero(s)
+            vec |= 1 << i
+        a_dims.append(ranks[g + s] if -g <= s <= g else 1)
         columns.append(vec)
-    return ConeMatrix(spinc, tuple(a_indices), tuple(a_dims), b_indices, tuple(columns))
+    return ConeMatrix(spinc, tuple(a_indices), tuple(a_dims), tuple(b_indices), tuple(columns))
 
 
 def cone_rank_oracle(data: KnotFloerData, slope: Slope, verify_stability: bool = True) -> int:

@@ -13,13 +13,12 @@ forced by L-space surgeries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
 from .cyclotomic import (
     _cos_fixed,
-    _frac_divmod,
     _in_two_cos,
     _poly_add,
     _poly_divexact,
@@ -119,10 +118,12 @@ class SeifertMatrix:
     """Square integer matrix presenting a knot; the 0x0 matrix is the unknot.
 
     Validity requires even size and det(A - A^T) = +-1 (a unimodular
-    Seifert pairing).
+    Seifert pairing).  A valid matrix carries its normalized Alexander
+    polynomial, derived once here and shared by every signature.
     """
 
     entries: tuple[tuple[int, ...], ...]
+    alexander: SymLaurentPoly = field(compare=False, repr=False)
 
     def __init__(self, entries):
         rows = tuple(tuple(int(x) for x in row) for row in entries)
@@ -136,6 +137,7 @@ class SeifertMatrix:
         det_val = _int_det(skew)
         if abs(det_val) != 1:
             raise ValueError(f"det(A - A^T) = {det_val}, not +-1: not a valid Seifert pairing")
+        object.__setattr__(self, "alexander", alexander_from_seifert(self))
 
     @property
     def size(self) -> int:
@@ -145,10 +147,13 @@ class SeifertMatrix:
         """Seifert matrix of the mirror knot: -A^T."""
         # -A^T - (-A^T)^T = A - A^T: the mirror has this matrix's pairing,
         # which is already known to be unimodular, so __init__'s
-        # determinant check is skipped.
+        # determinant check is skipped.  Its D(T) = det(TA - A^T) is
+        # det(A - T A^T) (transpose, then negate all n rows, n even), so
+        # Delta is this matrix's.
         mirrored = object.__new__(SeifertMatrix)
         entries = tuple(tuple(-x for x in column) for column in zip(*self.entries))
         object.__setattr__(mirrored, "entries", entries)
+        object.__setattr__(mirrored, "alexander", self.alexander)
         return mirrored
 
 
@@ -331,28 +336,45 @@ def _in_u(poly_x) -> list:
 
 
 def _primitive(p) -> tuple:
-    """The positive multiple of a rational polynomial with coprime integer
-    coefficients: signs, and so Sturm counts, are unchanged."""
-    p = [Fraction(c) for c in p]
-    den = math.lcm(*(c.denominator for c in p))
-    ints = [int(c * den) for c in p]
-    g = math.gcd(*ints)
-    return tuple(c // g for c in ints)
+    """p divided by the gcd of its integer coefficients: a positive
+    multiple, so signs, and so Sturm counts, are unchanged."""
+    g = math.gcd(*p)
+    return tuple(c // g for c in p)
+
+
+def _negated_remainder(a, b) -> tuple:
+    """A positive multiple of -(a mod b), primitive, for integer a and b:
+    the pseudo-remainder |lc(b)|^(deg a - deg b + 1) * a mod b, computed
+    over the integers and negated."""
+    a = list(a)
+    lead, low = b[-1], b[:-1]
+    if lead < 0:
+        lead, low = -lead, [-c for c in low]
+    for d in range(len(a) - len(b), -1, -1):
+        c = a.pop()
+        a = [lead * x for x in a]
+        if c:
+            for j, y in enumerate(low):
+                a[d + j] -= c * y
+    while a and not a[-1]:
+        a.pop()
+    return _primitive([-c for c in a]) if a else ()
 
 
 def _sturm(p) -> tuple:
-    """Sturm sequence of the squarefree part of a nonzero polynomial p."""
+    """Sturm sequence of the squarefree part of a nonzero integer
+    polynomial p, each entry primitive over the integers."""
     p = _primitive(p)
     if len(p) < 2:
         return (p,)
     seq = [p, _primitive([i * c for i, c in enumerate(p)][1:])]
     while True:
-        rem = _frac_divmod(seq[-2], seq[-1])[1]
+        rem = _negated_remainder(seq[-2], seq[-1])
         if not rem:
             break
-        seq.append(_primitive([-c for c in rem]))
+        seq.append(rem)
     if len(seq[-1]) > 1:  # the last entry is gcd(p, p'): p has repeated roots
-        return _sturm(_frac_divmod(p, seq[-1])[0])
+        return _sturm(_poly_divexact(p, seq[-1]))
     return tuple(seq)
 
 
@@ -391,13 +413,13 @@ def _root_bound(seq) -> Fraction:
 
 @lru_cache(maxsize=None)
 def _jumps(matrix: SeifertMatrix):
-    """(Delta, the Sturm sequence of D, the number of jumps in (0, pi)),
-    where D(u) = (1 + u)^deg * Delta(e^(i theta)).  D(0) = Delta(1) = 1 and
-    the top coefficient of D is Delta(-1) != 0, so the jumps are exactly
-    the positive roots of D."""
-    poly = alexander_from_seifert(matrix)
+    """(the Sturm sequence of D, the number of jumps in (0, pi)), where
+    D(u) = (1 + u)^deg * Delta(e^(i theta)).  D(0) = Delta(1) = 1 and the
+    top coefficient of D is Delta(-1) != 0, so the jumps are exactly the
+    positive roots of D."""
+    poly = matrix.alexander
     seq = _sturm(_in_u(_in_two_cos(poly.a0, poly.higher)))
-    return poly, seq, _roots_upto(seq, None)
+    return seq, _roots_upto(seq, None)
 
 
 def _tan2_enclosure(r: int, m: int, w: int) -> tuple[Fraction, Fraction | None]:
@@ -486,7 +508,7 @@ def _arc_signature(matrix: SeifertMatrix, arc: int) -> int:
     [[tS, -K], [K, tS]], scaled here by t's denominator.  The last arc
     holds xi = -1, where H = 2S.
     """
-    _, seq, jumps = _jumps(matrix)
+    seq, jumps = _jumps(matrix)
     entries = matrix.entries
     n = len(entries)
     sym = [[entries[i][j] + entries[j][i] for j in range(n)] for i in range(n)]
@@ -516,9 +538,9 @@ def _tl_signature_cached(matrix: SeifertMatrix, r, m):
     g = math.gcd(r, m)
     d = m // g
     k = min(r // g, d - r // g)  # xi and its conjugate have one signature
-    poly, seq, jumps = _jumps(matrix)
-    if _alexander_vanishes_at(poly, d):
+    if _alexander_vanishes_at(matrix.alexander, d):
         raise SingularValueError(r, m)
+    seq, jumps = _jumps(matrix)
     arc = jumps if 2 * k == d else _arc_at(seq, k, d)
     return _arc_signature(matrix, arc)
 
@@ -549,11 +571,12 @@ def sigma_total(matrix: SeifertMatrix, m: int) -> int:
         raise ValueError("need m >= 1")
     if not matrix.entries:
         return 0
-    poly, seq, jumps = _jumps(matrix)
+    poly = matrix.alexander
     top = 2 * (2 * poly.degree) ** 2  # larger orders are never singular: see _alexander_vanishes_at
     for d in range(min(m, top), 0, -1):
         if m % d == 0 and _alexander_vanishes_at(poly, d):
             raise SingularValueError(m // d, m)
+    seq, jumps = _jumps(matrix)
     counts = _arc_counts(seq, jumps, m)
     total = sum(2 * n * _arc_signature(matrix, arc) for arc, n in enumerate(counts) if n)
     if m % 2 == 0:

@@ -30,8 +30,8 @@ from .hfcone import KnotFloerData, cone_rank_oracle, mirror_of, nu_of, rank_form
 from .knots import (
     NotLSpaceFormError,
     SeifertMatrix,
+    SingularValueError,
     SymLaurentPoly,
-    alexander_from_seifert,
     delta2_at_one,
     parse_lspace_form,
     sigma_total,
@@ -207,13 +207,18 @@ def full_invariants(record: KnotRecord, slope: Slope):
     """All computable invariants of one surgered manifold, decision-free.
 
     Returns (casson_walker, casson_gordon_or_None, hf_rank_or_None); the
-    Casson-Gordon value needs a Seifert matrix for the signature term and
-    the rank needs knot Floer data.
+    Casson-Gordon value needs a Seifert matrix for the signature term, and
+    is None also when the Alexander polynomial vanishes at a |p|-th root
+    of unity, where sigma(K, |p|) is undefined; the rank needs knot Floer
+    data.
     """
     lam = casson_walker_surgered(record.ambient, record.delta2, slope)
     tau = None
     if record.seifert is not None:
-        tau = casson_gordon_surgered(sigma_total(record.seifert, abs(slope.p)), slope)
+        try:
+            tau = casson_gordon_surgered(sigma_total(record.seifert, abs(slope.p)), slope)
+        except SingularValueError:
+            pass
     rank = None
     if record.hf is not None:
         if slope.is_infinite:
@@ -353,7 +358,7 @@ def _record_from_dict(raw: dict, context: str) -> KnotRecord:
     if seifert is None and alexander is None:
         fail("need at least one of 'seifert_matrix' or 'alexander'")
     if seifert is not None:
-        derived = alexander_from_seifert(seifert)
+        derived = seifert.alexander
         if alexander is not None and alexander != derived:
             fail(
                 f"alexander polynomial {alexander} does not match the one "

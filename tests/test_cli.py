@@ -1,5 +1,7 @@
 import json
+import math
 import time
+from itertools import combinations
 
 import pytest
 
@@ -186,6 +188,36 @@ def test_distinguish_verbose(capsys):
     assert "s(2,5)=0" in lines
     assert "sigma(K,5)=-8" in lines
     assert lines[-1].startswith("tag=DistinguishedByCassonGordon")
+
+
+def test_distinguish_verbose_where_sigma_is_undefined(capsys):
+    # The trefoil's Alexander polynomial vanishes at the primitive 6th
+    # roots of unity; the decision never needs sigma(K, 6).
+    argv = ["distinguish", "--knot", CORPUS, "--name", "trefoil_right", "--slopes", "6/1", "6/5"]
+    code, plain, _ = run(capsys, *argv)
+    assert code == 0
+    code, out, err = run(capsys, *argv, "--verbose")
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert "sigma(K,6)=undefined" in lines
+    assert lines[-2].startswith("invariants2: ") and "tau_cg=None" in lines[-2]
+    assert lines[-1] == plain.strip()
+
+
+def test_distinguish_verbose_exits_as_plain_distinguish(capsys, corpus):
+    # Every same-sign pair with equal |p| <= 12 and q <= 6, as sweep pairs
+    # them; on pairs of unequal |p| --verbose adds nothing beyond the
+    # per-slope invariants, which test_obstruction covers.
+    pairs = 0
+    for record in corpus:
+        for p in [*range(1, 13), *range(-1, -13, -1)]:
+            slopes = [f"{p}/{q}" for q in range(1, 7) if math.gcd(p, q) == 1]
+            for pair in combinations(slopes, 2):
+                argv = ["distinguish", "--knot", CORPUS, "--name", record.name, "--slopes", *pair]
+                assert main([*argv, "--verbose"]) == main(argv), argv
+                pairs += 1
+        capsys.readouterr()
+    assert pairs > 1000
 
 
 def test_distinguish_negative_slopes(capsys):

@@ -215,3 +215,29 @@ def test_json_round_trip():
     assert data == FIG8
     with pytest.raises(ValueError):
         KnotFloerData.from_json_dict({"g": 1, "a": [1, 3, 1]})
+
+
+def test_window_matches_the_old_window():
+    # build_cone truncates at W = g + ceil(|p|/q) + 1; the old window,
+    # W = g + |p| + 1, is the same cone with extra_window = |p| - ceil(|p|/q).
+    # Every Spin^c class must have the same homology rank at both.
+    rng = random.Random(2026)
+    slopes = [
+        Slope(p, q) for p in range(-14, 15) for q in range(1, 15) if p and math.gcd(p, q) == 1
+    ]
+    cases = 0
+    for g in range(5):
+        for _ in range(12):
+            half = [1] + [rng.randint(1, 5) for _ in range(g)]
+            ranks = half + half[-2::-1]
+            for threshold in range(-g, g + 1):
+                data = KnotFloerData(g, ranks, threshold)
+                for slope in slopes:
+                    pp = abs(slope.p)
+                    old = pp - -(-pp // slope.q)
+                    for i in range(pp):
+                        new_rank = build_cone(data, slope, i).homology_rank()
+                        old_rank = build_cone(data, slope, i, extra_window=old).homology_rank()
+                        assert new_rank == old_rank, (data, slope, i)
+                    cases += 1
+    assert cases == 76200

@@ -27,12 +27,22 @@ from dehnsurg import (
 )
 from dehnsurg.cyclotomic import (
     RealCyclotomicField,
+    _frac_divmod,
+    _in_two_cos,
     _poly_divexact,
     _poly_mul,
     _poly_sub,
     _trim,
 )
-from dehnsurg.knots import _int_det, _interpolate, _symmetric_inertia, _tan2_enclosure
+from dehnsurg.knots import (
+    _in_u,
+    _int_det,
+    _interpolate,
+    _roots_upto,
+    _sturm,
+    _symmetric_inertia,
+    _tan2_enclosure,
+)
 
 TREFOIL = SeifertMatrix([[-1, 1], [0, -1]])
 FIGURE_EIGHT = SeifertMatrix([[1, 1], [0, -1]])
@@ -807,3 +817,106 @@ def test_dense_size_twenty_validation_and_alexander_finish_quickly():
     elapsed = time.perf_counter() - start
     assert poly.a0 + 2 * sum(poly.higher) == 1
     assert elapsed < 1.0, elapsed
+
+
+def _with_null_blocks(base, extra):
+    """base (a Seifert matrix's rows) padded with extra diagonal blocks
+    [[0, 1], [0, 0]]: still a valid pairing, with det A = 0."""
+    n = len(base) + 2 * extra
+    a = [[0] * n for _ in range(n)]
+    for i, row in enumerate(base):
+        a[i][: len(row)] = row
+    for k in range(len(base), n, 2):
+        a[k][k + 1] = 1
+    return a
+
+
+def test_seifert_matrix_carries_its_alexander_polynomial(corpus):
+    rng = random.Random(53)
+    matrices = [r.seifert for r in corpus if r.seifert is not None]
+    matrices += [random_seifert(rng, genus) for genus in range(1, 9)]
+    for genus in range(4):
+        base = random_seifert(rng, genus).entries if genus else ()
+        for extra in (1, 2):
+            a = _with_null_blocks(base, extra)
+            matrices.append(SeifertMatrix(a))
+            matrices.append(SeifertMatrix(_congruent(a, _unimodular(rng, len(a)))))
+    assert any(_int_det(a.entries) == 0 for a in matrices if a.size)
+    for a in matrices:
+        want = alexander_from_seifert(a)
+        assert a.alexander == want, a
+        assert a.mirror().alexander == want, a
+        assert alexander_from_seifert(a.mirror()) == want, a
+    for record in corpus:
+        if record.seifert is not None:
+            assert record.alexander == record.seifert.alexander
+
+
+def fraction_primitive(p) -> tuple:
+    """The positive multiple of a rational polynomial with coprime integer
+    coefficients: signs, and so Sturm counts, are unchanged."""
+    p = [Fraction(c) for c in p]
+    den = math.lcm(*(c.denominator for c in p))
+    ints = [int(c * den) for c in p]
+    g = math.gcd(*ints)
+    return tuple(c // g for c in ints)
+
+
+def fraction_sturm(p) -> tuple:
+    """Sturm sequence of the squarefree part of a nonzero polynomial p, by
+    division over the rationals: the oracle for the package's integer
+    pseudo-remainder chain."""
+    p = fraction_primitive(p)
+    if len(p) < 2:
+        return (p,)
+    seq = [p, fraction_primitive([i * c for i, c in enumerate(p)][1:])]
+    while True:
+        rem = _frac_divmod(seq[-2], seq[-1])[1]
+        if not rem:
+            break
+        seq.append(fraction_primitive([-c for c in rem]))
+    if len(seq[-1]) > 1:  # the last entry is gcd(p, p'): p has repeated roots
+        return fraction_sturm(_frac_divmod(p, seq[-1])[0])
+    return tuple(seq)
+
+
+def test_integer_sturm_matches_fraction_oracle(corpus):
+    rng = random.Random(67)
+
+    def random_poly(deg, bound):
+        p = [rng.randint(-bound, bound) for _ in range(deg)]
+        return p + [rng.choice([c for c in range(-bound, bound + 1) if c])]
+
+    polys = [random_poly(rng.randint(0, 14), 9) for _ in range(150)]
+    # Sparse ones, whose remainders can drop by two or more degrees: there
+    # the pseudo-remainder multiplier lc^(deg a - deg b + 1) can be negative.
+    for _ in range(150):
+        p = [rng.choice((0, 0, 0, -1, 1, 2, -3)) for _ in range(rng.randint(1, 14))]
+        polys.append(p + [rng.choice((-2, -1, 1, 3))])
+    # Repeated roots: f^k * h, of degree at most 14.
+    for _ in range(80):
+        f = random_poly(rng.randint(1, 3), 4)
+        k = rng.randint(2, 4)
+        while k * (len(f) - 1) > 12:
+            k -= 1
+        p = random_poly(rng.randint(0, 14 - k * (len(f) - 1)), 5)
+        for _ in range(k):
+            p = _poly_mul(p, f)
+        polys.append(p)
+    matrices = [r.seifert for r in corpus if r.seifert is not None]
+    matrices += [random_seifert(rng, genus) for genus in range(1, 7) for _ in range(3)]
+    for a in matrices:
+        polys.append(_in_u(_in_two_cos(a.alexander.a0, a.alexander.higher)))
+    repeated = odd_multiplier = 0
+    for p in polys:
+        seq, want = _sturm(p), fraction_sturm(p)
+        assert seq == want, p
+        repeated += len(want[0]) < len(_trim(list(p)))  # squarefree part is shorter
+        odd_multiplier += any(
+            (len(a) - len(b)) % 2 == 0 and b[-1] < 0 for a, b in zip(want, want[1:-1])
+        )
+        points = [None, Fraction(0)]
+        points += [Fraction(rng.randint(1, 400), rng.randint(1, 40)) for _ in range(8)]
+        for x in points:
+            assert _roots_upto(seq, x) == _roots_upto(want, x), (p, x)
+    assert repeated >= 40 and odd_multiplier >= 5

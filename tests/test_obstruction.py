@@ -31,9 +31,9 @@ from dehnsurg import (
 )
 from dehnsurg.dedekind import dedekind_numerator, dedekind_sum
 from dehnsurg.hfcone import mirror_of, rank_formula
-from dehnsurg.knots import NotLSpaceFormError, parse_lspace_form
+from dehnsurg.knots import NotLSpaceFormError, SingularValueError, parse_lspace_form, sigma_total
 from dehnsurg.obstruction import _STAGES, SweepRow, _check_pair, _stages
-from dehnsurg.surgery import casson_walker_surgered
+from dehnsurg.surgery import casson_gordon_surgered, casson_walker_surgered
 from conftest import reduced_slopes
 
 
@@ -430,6 +430,25 @@ def test_full_invariants_values(corpus_by_name):
     assert lam == -1  # s(1,2) - (1/2)*2
     assert tau == 2  # -8*s(1,2) + 2
     assert rank == 2
+
+
+def test_full_invariants_tau_is_none_where_sigma_is_undefined(corpus):
+    # Delta(T) = T - 1 + T^-1 vanishes at the primitive 6th roots of unity,
+    # so sigma(trefoil, 6) is undefined and the Casson-Gordon value with it.
+    singular = 0
+    for record in corpus:
+        if record.seifert is None:
+            continue
+        for slope in reduced_slopes(12, 6):
+            _, tau, _ = full_invariants(record, slope)
+            try:
+                sigma = sigma_total(record.seifert, abs(slope.p))
+            except SingularValueError:
+                assert tau is None, (record.name, slope)
+                singular += 1
+            else:
+                assert tau == casson_gordon_surgered(sigma, slope), (record.name, slope)
+    assert singular > 0
 
 
 def test_ambient_record(tmp_path):
