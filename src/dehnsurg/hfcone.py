@@ -22,6 +22,7 @@ build_cone.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .surgery import Slope
@@ -54,11 +55,14 @@ class KnotFloerData:
     v_threshold: int
 
     def __init__(self, g: int, ranks, v_threshold: int):
-        g = int(g)
-        ranks = tuple(int(x) for x in ranks)
+        try:
+            g, v_threshold = operator.index(g), operator.index(v_threshold)
+            ranks = tuple(map(operator.index, ranks))
+        except TypeError:
+            raise ValueError("g, ranks and v_threshold must be integers") from None
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "ranks", ranks)
-        object.__setattr__(self, "v_threshold", int(v_threshold))
+        object.__setattr__(self, "v_threshold", v_threshold)
         if g < 0:
             raise ValueError("truncation degree g must be >= 0")
         if len(ranks) != 2 * g + 1:

@@ -1,7 +1,7 @@
 """Knot invariants from Seifert matrices.
 
-Covers the normalized symmetric Alexander polynomial (interpolated from
-integer determinants at T = 0, 1, ..., n), its second derivative at 1,
+Covers the normalized symmetric Alexander polynomial (one packed integer
+determinant in X = (1 - T)/(1 + T) per matrix), its second derivative at 1,
 Tristram-Levine signatures at roots of unity (exact: constant on the arcs
 between roots of the Alexander polynomial, which Sturm sequences isolate,
 with one integer congruence reduction per arc), the total signature sum
@@ -13,6 +13,7 @@ forced by L-space surgeries.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -58,10 +59,14 @@ class NotLSpaceFormError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Determinants over the integers.  det(A - T A^T) has degree at most n in T,
-# so it is recovered from its values at T = 0, 1, ..., n, each an integer
-# determinant: n + 1 eliminations of O(n^3) integer operations, where one
-# elimination over Z[T] costs O(n^5) coefficient operations.
+# Determinants over the integers.  With K = A - A^T, S = A + A^T and
+# X = (1 - T)/(1 + T), A - T A^T = (1 + T)/2 * (K + X S), so
+#     2^n det(A - T A^T) = (1 + T)^n det(K + X S),
+# and det(K + X S) is even in X (transpose, then negate all n rows).  Its
+# g + 1 coefficients (n = 2g) are packed into one integer determinant by
+# Kronecker substitution (von zur Gathen and Gerhard, Modern Computer
+# Algebra, 8.4): one elimination on integers of O(n h) bits, where
+# evaluating det(A - T A^T) at n + 1 points takes n + 1 small ones.
 
 
 def _int_det(rows) -> int:
@@ -89,54 +94,68 @@ def _int_det(rows) -> int:
     return sign * m[0][0] if m else 1
 
 
-def _interpolate(values) -> list[int]:
-    """The len(values) integer coefficients, low degree first, of the
-    polynomial of degree below len(values) taking values[t] at t = 0, 1, ...
+def _packed_alexander(rows) -> list[int]:
+    """The coefficients e_0, ..., e_g of det(K + X S) = sum_j e_j X^(2j)
+    for the 2g x 2g integer matrix A = rows, from one determinant.
 
-    Newton divided differences at consecutive integers are integers when
-    the polynomial has integer coefficients, so level k divides exactly by
-    k; a remainder means no such polynomial and raises ArithmeticError.
-    The Newton form sum_k c_k t(t-1)...(t-k+1) is then expanded in place.
+    On |X| = 1, Hadamard's inequality bounds |det(K + X S)| by the product
+    of the row norms, and ||K_i + X S_i||^2 <= ||K_i||^2 + ||S_i||^2 +
+    2|<K_i, S_i>| = 4 max(||row_i A||^2, ||column_i A||^2); by Cauchy's
+    estimate every |e_j| is below the same bound.  With 2^(2h - 1) above
+    it, the e_j are the balanced base-2^(2h) digits of det(K + 2^h S), and
+    anything left above e_g raises ArithmeticError.
     """
-    c = list(values)
-    n = len(c)
-    # Level k: c[j] becomes the divided difference on t = j - k, ..., j.
-    for k in range(1, n):
-        for j in range(n - 1, k - 1, -1):
-            c[j], r = divmod(c[j] - c[j - 1], k)
-            if r:
-                raise ArithmeticError("values are not those of an integer polynomial")
-    # Horner: c[k:] becomes c_k + (t - k) * c[k+1:]; k = 0 subtracts nothing.
-    for k in range(n - 2, 0, -1):
-        for j in range(k, n - 1):
-            c[j] -= k * c[j + 1]
-    return c
+    n = len(rows)
+    pairs = list(zip(rows, zip(*rows)))
+    bound_sq = 4**n * math.prod(max(sum(x * x for x in r), sum(y * y for y in c)) for r, c in pairs)
+    h = (bound_sq.bit_length() + 5) // 4  # bound_sq < 2^(4h - 2)
+    det = _int_det([[x - y + ((x + y) << h) for x, y in zip(r, c)] for r, c in pairs])
+    width = 2 * h
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    digits = []
+    for _ in range(n // 2 + 1):
+        digit = ((det + half) & mask) - half
+        digits.append(digit)
+        det = (det - digit) >> width
+    if det:
+        raise ArithmeticError("det(K + X S) has a digit above degree n; the determinant is wrong")
+    return digits
+
+
+def _taylor_shift(c: list, a: int) -> None:
+    """c, coefficients low degree first, becomes c(z + a), in place, by
+    repeated Horner steps: O(deg^2) multiply-adds."""
+    top = len(c) - 1
+    for i in range(top):
+        for j in range(top - 1, i - 1, -1):
+            c[j] += a * c[j + 1]
 
 
 @dataclass(frozen=True)
 class SeifertMatrix:
     """Square integer matrix presenting a knot; the 0x0 matrix is the unknot.
 
-    Validity requires even size and det(A - A^T) = +-1 (a unimodular
-    Seifert pairing).  A valid matrix carries its normalized Alexander
-    polynomial, derived once here and shared by every signature.
+    Validity requires integer entries, even size and det(A - A^T) = +-1
+    (a unimodular Seifert pairing).  A valid matrix carries its normalized
+    Alexander polynomial, derived once here and shared by every signature;
+    det(A - A^T) is the lowest digit of the same packed determinant (see
+    alexander_from_seifert), so validation costs no elimination of its own.
     """
 
     entries: tuple[tuple[int, ...], ...]
     alexander: SymLaurentPoly = field(compare=False, repr=False)
 
     def __init__(self, entries):
-        rows = tuple(tuple(int(x) for x in row) for row in entries)
+        try:
+            rows = tuple(tuple(map(operator.index, row)) for row in entries)
+        except TypeError:
+            raise ValueError("Seifert matrix entries must be integers") from None
         object.__setattr__(self, "entries", rows)
         n = len(rows)
         if any(len(row) != n for row in rows):
             raise ValueError("Seifert matrix must be square")
         if n % 2 != 0:
             raise ValueError("Seifert matrix must have even size")
-        skew = [[x - y for x, y in zip(row, col)] for row, col in zip(rows, zip(*rows))]
-        det_val = _int_det(skew)
-        if abs(det_val) != 1:
-            raise ValueError(f"det(A - A^T) = {det_val}, not +-1: not a valid Seifert pairing")
         object.__setattr__(self, "alexander", alexander_from_seifert(self))
 
     @property
@@ -169,10 +188,13 @@ class SymLaurentPoly:
     higher: tuple[int, ...] = ()
 
     def __init__(self, a0, higher=()):
-        higher = tuple(int(x) for x in higher)
+        try:
+            a0, higher = operator.index(a0), tuple(map(operator.index, higher))
+        except TypeError:
+            raise ValueError("polynomial coefficients must be integers") from None
         while higher and higher[-1] == 0:
             higher = higher[:-1]
-        object.__setattr__(self, "a0", int(a0))
+        object.__setattr__(self, "a0", a0)
         object.__setattr__(self, "higher", higher)
         if self.a0 + 2 * sum(higher) != 1:
             raise ValueError("polynomial is not normalized: value at T = 1 must be 1")
@@ -231,7 +253,10 @@ class LSpaceForm:
     exponents: tuple[int, ...] = ()
 
     def __init__(self, exponents=()):
-        exps = tuple(int(x) for x in exponents)
+        try:
+            exps = tuple(map(operator.index, exponents))
+        except TypeError:
+            raise ValueError("exponents must be integers") from None
         if any(x <= 0 for x in exps):
             raise ValueError("exponents must be positive")
         if any(a >= b for a, b in zip(exps, exps[1:])):
@@ -252,26 +277,35 @@ def alexander_from_seifert(matrix: SeifertMatrix) -> SymLaurentPoly:
     """Normalized Alexander polynomial: D(T) = det(A - T A^T) scaled to be
     symmetric and equal to 1 at T = 1.
 
-    D has degree at most n = size, so it is interpolated exactly from its
-    integer values D(0), D(1), ..., D(n).  All n + 1 points are used, so
-    the palindrome check below sees every coefficient.
+    One packed determinant gives E(X) = det(K + X S) = sum_j e_j X^(2j),
+    whose lowest digit e_0 is det(A - A^T): ValueError unless it is +-1.
+    Then 2^n D(T) = sum_j e_j (1 - T)^(2j) (1 + T)^(n - 2j), palindromic
+    as every power of X is even.  With s = 1 + T, X = 2/s - 1, so it is
+    s^n F(2/s) for F(z) = E(z - 1), with s -> 1 + T after.
+
+    A digit off by d adds d (1 - T)^(2j) (1 + T)^(n - 2j), constant term d,
+    to 2^n D: the division by 2^n is inexact unless 2^n divides d, and
+    then D(0) is off det A by d/2^n.  Either raises ArithmeticError.
     """
-    n = matrix.size
+    a = matrix.entries
+    n = len(a)
     if n == 0:
         return SymLaurentPoly(1)
-    a = matrix.entries
-    pairs = [list(zip(row, col)) for row, col in zip(a, zip(*a))]
-    # D(1) = det(A - A^T) needs no elimination: a skew-symmetric integer
-    # matrix of even size has det = Pf^2 >= 0, so a valid pairing, whose
-    # determinant is +-1, has D(1) = +1; the mirror -A^T has the same pairing.
-    dets = (_int_det([[x - t * y for x, y in row] for row in pairs]) for t in range(2, n + 1))
-    c = _interpolate([_int_det(a), 1, *dets])
-    if any(c[i] != c[n - i] for i in range(n + 1)):
-        raise ArithmeticError("det(A - T A^T) is not palindromic; invalid Seifert pairing")
+    e = _packed_alexander(a)
+    if abs(e[0]) != 1:
+        raise ValueError(f"det(A - A^T) = {e[0]}, not +-1: not a valid Seifert pairing")
+    c = [0] * (n + 1)
+    c[::2] = e  # E, low degree first
+    _taylor_shift(c, -1)  # F
+    c = [f << k for k, f in enumerate(c)][::-1]  # s^n F(2/s)
+    _taylor_shift(c, 1)  # 2^n D(T)
+    if any(x & ((1 << n) - 1) for x in c):
+        raise ArithmeticError("2^n det(A - T A^T) is not divisible by 2^n; the determinant is wrong")
+    c = [x >> n for x in c]
+    if c[0] != _int_det(a):
+        raise ArithmeticError("D(0) differs from det A; the determinant is wrong")
     half = n // 2
-    a0 = c[half]
-    higher = [c[half + j] for j in range(1, half + 1)]
-    return SymLaurentPoly(a0, higher)
+    return SymLaurentPoly(c[half], c[half + 1 :])
 
 
 def delta2_at_one(poly: SymLaurentPoly) -> int:

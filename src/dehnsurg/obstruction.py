@@ -278,12 +278,13 @@ def sweep(records, p_max: int, q_max: int) -> SweepReport:
     rows = []
     counts: Counter = Counter()
     bad = 0
+    groups = {p: _slope_group(p, q_max) for p in range(1, p_max + 1)}
     for record in records:
         tie = None  # the all-tie outcome, fixed per record
         for p_signed in [p for p in range(-p_max, p_max + 1) if p != 0]:
             sign = 1 if p_signed > 0 else -1
             # Negative slopes are decided as their positive mirrors.
-            group = _slope_group(abs(p_signed), q_max)
+            group = groups[abs(p_signed)]
             # Each slope's witnesses are built once, not once per row.
             stages = [
                 (tag, keys, list(map(witness, range(len(group)))).__getitem__)

@@ -39,6 +39,15 @@ def test_data_validation():
     assert data.excess() == 6
 
 
+def test_non_integral_data_is_rejected_not_truncated():
+    with pytest.raises(ValueError, match="must be integers"):
+        KnotFloerData(1, [1.5, 1, 1.2], 1)  # int() made this (1, 1, 1)
+    with pytest.raises(ValueError, match="must be integers"):
+        KnotFloerData(1.0, (1, 1, 1), 1)
+    with pytest.raises(ValueError, match="must be integers"):
+        KnotFloerData(1, (1, 1, 1), 0.5)
+
+
 def test_flip_symmetry_is_built_in():
     data = KnotFloerData(2, (1, 1, 1, 1, 1), 1)
     for s in range(-4, 5):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import dehnsurg
+import dehnsurg.knots as knots
 
 from dehnsurg import (
     LSpaceForm,
@@ -37,7 +38,7 @@ from dehnsurg.cyclotomic import (
 from dehnsurg.knots import (
     _in_u,
     _int_det,
-    _interpolate,
+    _packed_alexander,
     _roots_upto,
     _sturm,
     _symmetric_inertia,
@@ -153,6 +154,61 @@ def _poly_matrix_det(rows):
         prev = pivot
     det = m[n - 1][n - 1]
     return det if sign > 0 else [-c for c in det]
+
+
+# Test-only third oracle, the package's former Alexander path: integer
+# determinants of A - T A^T at T = 0, 2, ..., n, D(1) = 1, and exact Newton
+# interpolation.
+
+
+def _interpolate(values) -> list[int]:
+    """The len(values) integer coefficients, low degree first, of the
+    polynomial of degree below len(values) taking values[t] at t = 0, 1, ...
+
+    Newton divided differences at consecutive integers are integers when
+    the polynomial has integer coefficients, so level k divides exactly by
+    k; a remainder means no such polynomial and raises ArithmeticError.
+    The Newton form sum_k c_k t(t-1)...(t-k+1) is then expanded in place.
+    """
+    c = list(values)
+    n = len(c)
+    # Level k: c[j] becomes the divided difference on t = j - k, ..., j.
+    for k in range(1, n):
+        for j in range(n - 1, k - 1, -1):
+            c[j], r = divmod(c[j] - c[j - 1], k)
+            if r:
+                raise ArithmeticError("values are not those of an integer polynomial")
+    # Horner: c[k:] becomes c_k + (t - k) * c[k+1:]; k = 0 subtracts nothing.
+    for k in range(n - 2, 0, -1):
+        for j in range(k, n - 1):
+            c[j] -= k * c[j + 1]
+    return c
+
+
+def evaluation_alexander(matrix: SeifertMatrix) -> SymLaurentPoly:
+    """Normalized Alexander polynomial: D(T) = det(A - T A^T) scaled to be
+    symmetric and equal to 1 at T = 1.
+
+    D has degree at most n = size, so it is interpolated exactly from its
+    integer values D(0), D(1), ..., D(n).  All n + 1 points are used, so
+    the palindrome check below sees every coefficient.
+    """
+    n = matrix.size
+    if n == 0:
+        return SymLaurentPoly(1)
+    a = matrix.entries
+    pairs = [list(zip(row, col)) for row, col in zip(a, zip(*a))]
+    # D(1) = det(A - A^T) needs no elimination: a skew-symmetric integer
+    # matrix of even size has det = Pf^2 >= 0, so a valid pairing, whose
+    # determinant is +-1, has D(1) = +1; the mirror -A^T has the same pairing.
+    dets = (_int_det([[x - t * y for x, y in row] for row in pairs]) for t in range(2, n + 1))
+    c = _interpolate([_int_det(a), 1, *dets])
+    if any(c[i] != c[n - i] for i in range(n + 1)):
+        raise ArithmeticError("det(A - T A^T) is not palindromic; invalid Seifert pairing")
+    half = n // 2
+    a0 = c[half]
+    higher = [c[half + j] for j in range(1, half + 1)]
+    return SymLaurentPoly(a0, higher)
 
 
 def float_signature(matrix, r, m):
@@ -779,8 +835,8 @@ def test_alexander_matches_both_determinant_oracles(corpus):
 
 def test_valid_seifert_pairings_have_determinant_plus_one(corpus):
     # det(A - A^T) = Pf^2 >= 0 for an even-size skew-symmetric matrix, so a
-    # validated pairing has D(1) = +1, which alexander_from_seifert uses
-    # in place of an elimination; the mirror has the same pairing.
+    # validated pairing has D(1) = +1, the lowest digit e_0 of the packed
+    # determinant in alexander_from_seifert; the mirror has the same pairing.
     rng = random.Random(41)
     matrices = [r.seifert for r in corpus if r.seifert is not None]
     matrices += [random_seifert(rng, genus) for genus in range(1, 7)]
@@ -850,6 +906,129 @@ def test_seifert_matrix_carries_its_alexander_polynomial(corpus):
     for record in corpus:
         if record.seifert is not None:
             assert record.alexander == record.seifert.alexander
+
+
+def _hadamard_square(rows):
+    """The square of alexander_from_seifert's bound on every digit e_j."""
+    return 4 ** len(rows) * math.prod(
+        max(sum(x * x for x in row), sum(y * y for y in col)) for row, col in zip(rows, zip(*rows))
+    )
+
+
+def test_packed_alexander_matches_all_oracles(corpus):
+    rng = random.Random(61)
+    matrices = [r.seifert for r in corpus if r.seifert is not None]
+    matrices += [random_seifert(rng, genus) for genus in range(1, 11)]
+    for genus in range(4):
+        base = random_seifert(rng, genus).entries if genus else ()
+        for extra in (1, 2):
+            a = _with_null_blocks(base, extra)
+            matrices.append(SeifertMatrix(a))
+            matrices.append(SeifertMatrix(_congruent(a, _unimodular(rng, len(a)))))
+    # Entries near +-10^12 in the symmetric part, where the bound is loose.
+    huge = (10**12 - 11, -(10**12) - 39, 10**12 + 7, -(10**12) + 3, 0, 1, -1)
+    for genus in (1, 2, 3, 5):
+        a = _with_null_blocks((), genus)
+        n = len(a)
+        for i in range(n):
+            for j in range(i, n):
+                s = rng.choice(huge)
+                a[i][j] += s
+                a[j][i] += s if j != i else 0
+        matrices.append(SeifertMatrix(a))
+        matrices.append(SeifertMatrix(_congruent(a, _unimodular(rng, n))))
+    # A large diagonal M on the unknot's standard J+: the top digit is
+    # det(A + A^T) = (4M^2 - 1)^g, against a bound of (4M^2 + 4)^g.
+    for genus in (1, 3, 6):
+        for big in (10**6, 10**12):
+            a = _with_null_blocks((), genus)
+            for i in range(len(a)):
+                a[i][i] = big
+            top = _packed_alexander(a)[-1]
+            assert top == (4 * big * big - 1) ** genus
+            assert top * top < _hadamard_square(a) < 2 * top * top
+            matrices.append(SeifertMatrix(a))
+    assert any(_int_det(a.entries) == 0 for a in matrices if a.size)
+    for a in matrices + [a.mirror() for a in matrices]:
+        e, n = a.entries, a.size
+        want = evaluation_alexander(a)
+        assert a.alexander == alexander_from_seifert(a) == want, e
+        rows = [[[e[i][j], -e[j][i]] for j in range(n)] for i in range(n)]
+        c = _poly_matrix_det(rows)
+        if n <= 10:  # the cofactor oracle is exponential in n
+            assert c == cofactor_det(rows), e
+        c += [0] * (n + 1 - len(c))  # det(A - T A^T) = T^(n/2) * Delta(T)
+        assert want == SymLaurentPoly(c[n // 2], c[n // 2 + 1 :]), e
+        # The packed digits are the coefficients of det(K + X S) over Z[X].
+        x_rows = [[[e[i][j] - e[j][i], e[i][j] + e[j][i]] for j in range(n)] for i in range(n)]
+        x_det = _poly_matrix_det(x_rows)
+        digits = [0] * (n + 1)
+        digits[::2] = _packed_alexander(e)
+        assert x_det + [0] * (n + 1 - len(x_det)) == digits, e
+
+
+def test_corrupted_packed_determinant_raises(monkeypatch):
+    # A digit e_j off by d adds d (1 - T)^(2j) (1 + T)^(n - 2j) to 2^n D:
+    # the division by 2^n catches d not divisible by 2^n, the check against
+    # det A = D(0) the rest, and e_0 is the validated det(A - A^T).
+    rng = random.Random(63)
+    rows = [random_seifert(rng, genus).entries for genus in range(1, 5)]
+    rows += [_with_null_blocks(random_seifert(rng, 2).entries, 1)]
+    packed = knots._packed_alexander
+    for a in rows:
+        n = len(a)
+        for j in range(n // 2 + 1):
+            for d in (1, -1, 2, 6, 720, 1 << n, -(3 << n), rng.randint(1, 10**9)):
+                def corrupted(r, j=j, d=d):
+                    return [e + d * (i == j) for i, e in enumerate(packed(r))]
+
+                monkeypatch.setattr(knots, "_packed_alexander", corrupted)
+                with pytest.raises((ValueError, ArithmeticError)):
+                    SeifertMatrix(a)
+    # A determinant with a digit above e_g.
+    monkeypatch.setattr(knots, "_packed_alexander", packed)
+    monkeypatch.setattr(knots, "_int_det", lambda r, det=knots._int_det: det(r) + (1 << 10_000))
+    with pytest.raises(ArithmeticError, match="digit above"):
+        SeifertMatrix(rows[0])
+
+
+def test_invalid_pairings_keep_their_error_message():
+    # det(A - A^T) = Pf^2 for an even-size skew-symmetric integer matrix, so
+    # an invalid pairing has det(A - A^T) in {0, 4, 9, ...}.
+    rng = random.Random(62)
+    for pf in (0, 2, 3, 5, 10**6):
+        for genus in (1, 2, 4):
+            a = _with_null_blocks((), genus)
+            a[0][1] = pf
+            n = len(a)
+            for i in range(n):
+                for j in range(i, n):
+                    s = rng.randint(-3, 3)
+                    a[i][j] += s
+                    a[j][i] += s if j != i else 0
+            a = _congruent(a, _unimodular(rng, n))
+            skew = [[x - y for x, y in zip(row, col)] for row, col in zip(a, zip(*a))]
+            assert _int_det(skew) == pf * pf
+            with pytest.raises(ValueError) as info:
+                SeifertMatrix(a)
+            assert str(info.value) == f"det(A - A^T) = {pf * pf}, not +-1: not a valid Seifert pairing"
+
+
+def test_non_integral_entries_are_rejected_not_truncated():
+    with pytest.raises(ValueError, match="must be integers"):
+        SeifertMatrix([[-1.7, 1], [0.9, -1]])  # int() made this the trefoil
+    with pytest.raises(ValueError, match="must be integers"):
+        SeifertMatrix([[-1, 1.0], [0, -1]])
+    with pytest.raises(ValueError, match="must be integers"):
+        SymLaurentPoly(3.9, [-1.2])  # int() made this the figure-eight's
+    with pytest.raises(ValueError, match="must be integers"):
+        SymLaurentPoly(Fraction(-1), [1])
+    with pytest.raises(ValueError, match="must be integers"):
+        LSpaceForm((1, 2.5))
+    # Integer types other than int still construct, as ints.
+    assert SeifertMatrix(np.array([[-1, 1], [0, -1]])) == TREFOIL
+    assert SymLaurentPoly(np.int64(3), [np.int64(-1)]) == alexander_from_seifert(FIGURE_EIGHT)
+    assert type(SymLaurentPoly(np.int64(1)).a0) is int
 
 
 def fraction_primitive(p) -> tuple:

@@ -533,3 +533,36 @@ def test_load_knots_error_reporting(tmp_path):
 
     bad.write_text("[]")
     assert load_knots(bad) == []
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("seifert_matrix", [[-1.7, 1], [0.9, -1]], "bad seifert_matrix: need a list of rows of integers"),
+        (
+            "seifert_matrix",
+            [[0, 2], [0, 0]],
+            "bad seifert_matrix: det(A - A^T) = 4, not +-1: not a valid Seifert pairing",
+        ),
+        (
+            "alexander",
+            {"a0": 3.9, "a": [-1.2]},
+            "bad alexander polynomial: 'a0' must be an integer and 'a' a list of integers",
+        ),
+        (
+            "hf",
+            {"g": 1, "a": [1.5, 1, 1.2], "v_threshold": 1},
+            "bad hf data: 'g' and 'v_threshold' must be integers and 'a' a list of integers",
+        ),
+    ],
+)
+def test_loader_messages_for_non_integral_and_invalid_fields(tmp_path, field, value, message):
+    # The loader rejects non-integers before any constructor sees them, so
+    # its messages do not depend on how the constructors check types.
+    path = tmp_path / "bad.json"
+    record = {"name": "k", "alexander": {"a0": 1}}
+    record[field] = value
+    path.write_text(json.dumps([record]))
+    with pytest.raises(ValueError) as info:
+        load_knots(path)
+    assert str(info.value) == f"{path}: record 0 (k): {message}"
