@@ -20,8 +20,10 @@ import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 from importlib import resources
 from itertools import combinations
+from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -132,7 +134,13 @@ def _check_pair(s1: Slope, s2: Slope) -> int:
     return 1 if p1 > 0 else -1
 
 
-def _stages(record: KnotRecord, slopes, sign: int):
+def _lens(slopes):
+    """Casson-Gordon keys U = 12p s(q,p) of slopes with p > 0, and index -> witness -U/3."""
+    us = [dedekind_numerator(s.q, s.p)[0] for s in slopes]
+    return us, lambda i: Fraction(-us[i], 3)
+
+
+def _stages(record: KnotRecord, slopes, sign: int, lens=None, delta2=None):
     """Each stage's tag, integer keys on the given surgeries and a function
     from a surgery's index to its witness, computed when reached.  Keys tie
     exactly when the stage's values do.  The slopes have positive p, on the
@@ -142,13 +150,14 @@ def _stages(record: KnotRecord, slopes, sign: int):
     the integer U = 12p s(q,p).  After a Casson-Gordon tie two
     Casson-Walker values lambda + (U - 12 q Delta''(1))/(12p) differ exactly
     when Delta''(1) != 0, so that stage runs only then, and the rank stage,
-    which it would always pre-empt, only otherwise.
+    which it would always pre-empt, only otherwise.  A caller holding the
+    slopes' ``_lens`` or the record's Delta''(1) passes them in.
     """
     ps = [s.p for s in slopes]
     yield DIFFERENT_HOMOLOGY, ps, ps.__getitem__
-    us = [dedekind_numerator(s.q, s.p)[0] for s in slopes]
-    yield BY_CASSON_GORDON, us, lambda i: Fraction(-us[i], 3)
-    delta2 = record.delta2
+    us, cg_witness = lens or _lens(slopes)
+    yield BY_CASSON_GORDON, us, cg_witness
+    delta2 = record.delta2 if delta2 is None else delta2
     if delta2 != 0:
         keys = [u - 12 * s.q * delta2 for u, s in zip(us, slopes)]
         # lambda + key/(12p), built as one fraction.
@@ -163,15 +172,6 @@ def _stages(record: KnotRecord, slopes, sign: int):
         hf = record.hf if sign > 0 else mirror_of(record.hf)
         ranks = [1 if s.is_infinite else rank_formula(hf, s) for s in slopes]
         yield BY_HF_RANK, ranks, ranks.__getitem__
-
-
-def _first_difference(stages, i: int, j: int):
-    """The tag and witnesses of the first stage whose keys on surgeries i
-    and j differ, or None when every stage ties."""
-    for tag, keys, witness in stages:
-        if keys[i] != keys[j]:
-            return tag, witness(i), witness(j)
-    return None
 
 
 def _tie_tag(record: KnotRecord) -> str:
@@ -199,8 +199,10 @@ def distinguish(record: KnotRecord, s1: Slope, s2: Slope) -> Verdict:
     sign = _check_pair(s1, s2)
     if sign < 0:
         s1, s2 = s1.negated(), s2.negated()
-    found = _first_difference(_stages(record, (s1, s2), sign), 0, 1)
-    return Verdict(*found) if found else Verdict(_tie_tag(record))
+    for tag, keys, witness in _stages(record, (s1, s2), sign):
+        if keys[0] != keys[1]:
+            return Verdict(tag, witness(0), witness(1))
+    return Verdict(_tie_tag(record))
 
 
 def full_invariants(record: KnotRecord, slope: Slope):
@@ -267,41 +269,55 @@ def sweep(records, p_max: int, q_max: int) -> SweepReport:
 
     Pairs are grouped by the signed surgery coefficient p with 1 <= |p| <=
     p_max and 0 <= q <= q_max; the infinite slope joins the |p| = 1 groups
-    with q recorded as 0.  The stage values of a group's slopes are
-    computed once and every pair of the group is decided by its first
-    differing stage.  Rows come out in (p, q1, q2) order within each record.
+    with q recorded as 0.  Each |p| group's lens part (Casson-Gordon keys
+    and witnesses) is computed on first use and shared by both signs and
+    all records, and Delta''(1) is read once per record.  A group's other
+    stage values are computed once per sign, stages whose keys are all
+    equal (homology always) are dropped, and each pair is decided by its
+    first differing stage.  Rows come out in (p, q1, q2) order per record.
     """
     if p_max < 1 or q_max < 1:
         raise ValueError("p_max and q_max must be >= 1")
     if isinstance(records, KnotRecord):
         records = [records]
     rows = []
-    counts: Counter = Counter()
     bad = 0
     groups = {p: _slope_group(p, q_max) for p in range(1, p_max + 1)}
+    lenses = {}
     for record in records:
-        tie = None  # the all-tie outcome, fixed per record
+        name, delta2 = record.name, record.delta2
+        tie, ties = None, 0  # the all-tie outcome, fixed per record, and its row count
         for p_signed in [p for p in range(-p_max, p_max + 1) if p != 0]:
-            sign = 1 if p_signed > 0 else -1
             # Negative slopes are decided as their positive mirrors.
-            group = groups[abs(p_signed)]
-            # Each slope's witnesses are built once, not once per row.
+            p = abs(p_signed)
+            group = groups[p]
+            indices = range(len(group))
+            if p not in lenses:
+                us, cg_witness = _lens(group)
+                lenses[p] = us, list(map(cg_witness, indices)).__getitem__
+            # Each slope's witnesses are built once, not once per row; a
+            # stage whose keys are all equal decides no pair.
             stages = [
-                (tag, keys, list(map(witness, range(len(group)))).__getitem__)
-                for tag, keys, witness in _stages(record, group, sign)
+                (tag, keys, list(map(w, indices)))
+                for tag, keys, w in _stages(record, group, p_signed // p, lenses[p], delta2)
+                if len(set(keys)) > 1
             ]
-            for (a, s1), (b, s2) in combinations(enumerate(group), 2):
-                found = _first_difference(stages, a, b)
-                if found is None:
+            qs = [s.q for s in group]
+            for a, b in combinations(indices, 2):
+                for tag, keys, ws in stages:
+                    if keys[a] != keys[b]:
+                        rows.append((name, p_signed, qs[a], qs[b], tag, ws[a], ws[b]))
+                        break
+                else:
                     if tie is None:
-                        tie = (_tie_tag(record), None, None)
-                    found = tie
-                tag, w1, w2 = found
-                rows.append(SweepRow(record.name, p_signed, s1.q, s2.q, tag, w1, w2))
-                counts[tag] += 1
-                if tag == INCONCLUSIVE and not record.trivial:
-                    bad += 1
-    return SweepReport(tuple(rows), dict(counts), bad)
+                        tie = _tie_tag(record)
+                    rows.append((name, p_signed, qs[a], qs[b], tie, None, None))
+                    ties += 1
+        if tie == INCONCLUSIVE and not record.trivial:
+            bad += ties
+    # The plain tuples become SweepRows in C, without NamedTuple.__new__.
+    rows = tuple(map(partial(tuple.__new__, SweepRow), rows))
+    return SweepReport(rows, dict(Counter(map(itemgetter(4), rows))), bad)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from functools import partial
@@ -209,6 +210,52 @@ def test_sweep_negative_rows_match_direct_distinguish(corpus):
         s1, s2 = (Slope(1, 0) if q == 0 else Slope(row.p, q) for q in (row.q1, row.q2))
         v = distinguish(by_name[row.name], s1, s2)
         assert row == SweepRow(row.name, row.p, row.q1, row.q2, v.tag, v.value1, v.value2)
+
+
+@pytest.mark.parametrize("box", [(10, 10), (7, 12)])
+def test_sweep_of_many_records_joins_the_single_record_sweeps(corpus, box):
+    # sweep shares each |p| group's lens part across signs and records and
+    # reads Delta''(1) once per record; sweeping the records together must
+    # give what sweeping each alone gives.  Past the corpus: an ambient
+    # manifold with lambda = 2, a record whose rank stage runs at both
+    # signs, and records with Delta''(1) = 0 and no Floer data: one whose
+    # all-tie rows are UnknotCosmetic (Delta = 1), and two whose are
+    # Inconclusive, of which only the nontrivial one counts as bad.
+    bare = KnotRecord(name="bare", alexander=SymLaurentPoly(7, (-4, 1)))
+    records = oracle_records(corpus) + [
+        KnotRecord(name="alexander_one_no_floer", alexander=SymLaurentPoly(1)),
+        bare,
+        replace(bare, name="bare_trivial", trivial=True),
+    ]
+    report = sweep(records, *box)
+    alone = [sweep(record, *box) for record in records]
+    assert report.rows == tuple(row for part in alone for row in part.rows)
+    assert report.counts == sum((Counter(part.counts) for part in alone), Counter())
+    assert report.counts == Counter(row.tag for row in report.rows)
+    assert report.nontrivial_inconclusive == sum(part.nontrivial_inconclusive for part in alone)
+    assert 0 < report.nontrivial_inconclusive < report.counts[INCONCLUSIVE]
+    assert all(type(row) is SweepRow for row in report.rows)
+    assert {row.name for row in report.rows if row.tag == BY_HF_RANK} == {"alexander_one"}
+
+
+def test_distinguish_computes_no_dedekind_sum_for_different_p(corpus_by_name, monkeypatch):
+    # Homology decides a pair with different |p| before the lens part is
+    # reached, so large_p pairs of that kind cost no Dedekind sum.
+    def boom(*args, **kwargs):
+        raise AssertionError("Dedekind sum computed for a pair with different p")
+
+    monkeypatch.setattr("dehnsurg.obstruction.dedekind_numerator", boom)
+    tref = corpus_by_name["trefoil_right"]
+    pairs = [
+        (Slope(3, 1), Slope(5, 2)),
+        (Slope(-1000003, 7), Slope(-999983, 7)),
+        (Slope(1, 0), Slope(4, 1)),
+        (Slope(-7, 2), Slope(1, 0)),
+    ]
+    for s1, s2 in pairs:
+        v = distinguish(tref, s1, s2)
+        assert v.tag == DIFFERENT_HOMOLOGY, (s1, s2)
+        assert v.value1 != v.value2
 
 
 def test_distinguish_reads_only_the_stages_it_needs(corpus_by_name, monkeypatch):
