@@ -3,11 +3,12 @@
 Covers the normalized symmetric Alexander polynomial (one packed integer
 determinant in X = (1 - T)/(1 + T) per matrix), its second derivative at 1,
 Tristram-Levine signatures at roots of unity (exact: constant on the arcs
-between roots of the Alexander polynomial, which Sturm sequences isolate,
-with one integer congruence reduction per arc), the total signature sum
-(by counting the roots of unity on each arc: O(log m) placements per
-jump, none per root), and recognition of the Alexander-polynomial shape
-forced by L-space surgeries.
+between roots of the Alexander polynomial, which Sturm sequences isolate;
+arc 0 is 0, and an integer congruence reduction runs only on the arcs that
+the jump count and the last arc leave open), the total signature sum (by
+counting the roots of unity on each arc: O(log m) placements per jump,
+none per root), and recognition of the Alexander-polynomial shape forced
+by L-space surgeries.
 """
 
 from __future__ import annotations
@@ -327,13 +328,14 @@ def _totient(n: int) -> int:
     return out
 
 
-def _alexander_vanishes_at(poly: SymLaurentPoly, d: int) -> bool:
+def _alexander_vanishes_at(poly: SymLaurentPoly, d: int, jumps: int) -> bool:
     """Exact test of poly(xi) = 0 for xi a primitive d-th root of unity,
     that is of Phi_d dividing poly, over the integers as Phi_d is monic.
-    It can divide only if phi(d) <= deg, and phi(d) >= sqrt(d/2), so orders
-    d > 2 deg^2 need no division."""
-    deg = 2 * poly.degree
-    if d > 2 * deg * deg or _totient(d) > deg:
+    Orders d <= 2 never vanish: Delta(1) = 1 and Delta(-1) = Delta(1) (mod 4).
+    For d >= 3 the phi(d)/2 roots on the upper semicircle are distinct jumps,
+    so only phi(d) <= 2 jumps can divide; phi(d) >= sqrt(d/2) then leaves
+    d <= 8 jumps^2 (see _jumps)."""
+    if d < 3 or d > 8 * jumps * jumps or _totient(d) > 2 * jumps:
         return False
     try:
         _poly_divexact(poly.as_int_poly(), list(cyclotomic_polynomial(d)))
@@ -352,6 +354,7 @@ def _alexander_vanishes_at(poly: SymLaurentPoly, d: int) -> bool:
 # The root e^(2 pi i r/m) sits at u = tan^2(pi r/m), placed on its arc by a
 # rigorous rational enclosure of that number; u grows with r, so a total
 # signature needs only the last r below each jump, found by bisection.
+# Arc 0 has signature 0 and simple roots move it by +-2: see _arc_signature.
 
 
 def _in_u(poly_x) -> list:
@@ -447,13 +450,15 @@ def _root_bound(seq) -> Fraction:
 
 @lru_cache(maxsize=None)
 def _jumps(matrix: SeifertMatrix):
-    """(the Sturm sequence of D, the number of jumps in (0, pi)), where
-    D(u) = (1 + u)^deg * Delta(e^(i theta)).  D(0) = Delta(1) = 1 and the
-    top coefficient of D is Delta(-1) != 0, so the jumps are exactly the
-    positive roots of D."""
+    """(the Sturm sequence of D, the number of jumps in (0, pi), whether D
+    is squarefree), where D(u) = (1 + u)^deg * Delta(e^(i theta)).
+    D(0) = Delta(1) = 1 and the top coefficient of D is Delta(-1) != 0, so
+    the jumps are exactly the positive roots of D.  _sturm divides out
+    repeated factors, so D is squarefree when its first entry is as long."""
     poly = matrix.alexander
-    seq = _sturm(_in_u(_in_two_cos(poly.a0, poly.higher)))
-    return seq, _roots_upto(seq, None)
+    d = _in_u(_in_two_cos(poly.a0, poly.higher))
+    seq = _sturm(d)
+    return seq, _roots_upto(seq, None), len(seq[0]) == len(d)
 
 
 def _tan2_enclosure(r: int, m: int, w: int) -> tuple[Fraction, Fraction | None]:
@@ -534,32 +539,51 @@ def _arc_point(seq, arc: int) -> Fraction:
 
 @lru_cache(maxsize=None)
 def _arc_signature(matrix: SeifertMatrix, arc: int) -> int:
-    """The signature on one arc, from one integer congruence reduction at
-    its canonical point.
+    """The signature on one arc, with an integer congruence reduction only
+    where the jumps leave it open.
 
-    Below the last arc, H(xi)/sin(theta) = tS + iK with S = A + A^T and
-    K = A - A^T; its signature is half that of the real symmetric
-    [[tS, -K], [K, tS]], scaled here by t's denominator.  The last arc
-    holds xi = -1, where H = 2S.
+    H(xi)/sin(theta) = tS + iK with S = A + A^T and K = A - A^T, and its
+    determinant is a nonzero real multiple of D(t^2) (1 + t^2)^k.  Arc 0 is
+    0: as t -> 0 the form tends to iK, nondegenerate as K is unimodular,
+    with eigenvalues in +- pairs.  The last arc holds xi = -1, where H = 2S.
+    At a simple root of D the nullity is 1, so the signature moves by +-2;
+    when D is squarefree and the last arc's signature is 2 jumps in size,
+    every step has one sign and arc j is j/jumps of it.  Any other arc
+    goes to _arc_inertia.
     """
-    seq, jumps = _jumps(matrix)
+    if not arc:
+        return 0
+    _, jumps, simple = _jumps(matrix)
+    if arc == jumps:
+        a = matrix.entries
+        return _signature([[x + y for x, y in zip(row, col)] for row, col in zip(a, zip(*a))], 1)
+    last = _arc_signature(matrix, jumps)
+    if simple and abs(last) == 2 * jumps:
+        return arc * last // jumps
+    return _arc_inertia(matrix, arc)
+
+
+def _arc_inertia(matrix: SeifertMatrix, arc: int) -> int:
+    """The signature on any arc, from one integer congruence reduction at
+    its canonical point t: half that of the real symmetric
+    [[tS, -K], [K, tS]], scaled here by t's denominator."""
     entries = matrix.entries
     n = len(entries)
-    sym = [[entries[i][j] + entries[j][i] for j in range(n)] for i in range(n)]
-    if arc == jumps:
-        big, half = sym, 1
-    else:
-        t = _arc_point(seq, arc)
-        a, b = t.numerator, t.denominator
-        big = [[0] * (2 * n) for _ in range(2 * n)]
-        for i in range(n):
-            for j in range(n):
-                skew = b * (entries[i][j] - entries[j][i])
-                big[i][j] = big[n + i][n + j] = a * sym[i][j]
-                big[i][n + j] = -skew
-                big[n + i][j] = skew
-        half = 2
-    pos, neg, null = _symmetric_inertia(big)
+    t = _arc_point(_jumps(matrix)[0], arc)
+    a, b = t.numerator, t.denominator
+    big = [[0] * (2 * n) for _ in range(2 * n)]
+    for i in range(n):
+        for j in range(n):
+            skew = b * (entries[i][j] - entries[j][i])
+            big[i][j] = big[n + i][n + j] = a * (entries[i][j] + entries[j][i])
+            big[i][n + j] = -skew
+            big[n + i][j] = skew
+    return _signature(big, 2)
+
+
+def _signature(sym, half: int) -> int:
+    """(pos - neg) / half for a symmetric integer matrix that must be nondegenerate."""
+    pos, neg, null = _symmetric_inertia(sym)
     if null != 0:
         raise ArithmeticError("singular Hermitian matrix despite nonzero Alexander value")
     return (pos - neg) // half
@@ -572,9 +596,9 @@ def _tl_signature_cached(matrix: SeifertMatrix, r, m):
     g = math.gcd(r, m)
     d = m // g
     k = min(r // g, d - r // g)  # xi and its conjugate have one signature
-    if _alexander_vanishes_at(matrix.alexander, d):
+    seq, jumps, _ = _jumps(matrix)
+    if _alexander_vanishes_at(matrix.alexander, d, jumps):
         raise SingularValueError(r, m)
-    seq, jumps = _jumps(matrix)
     arc = jumps if 2 * k == d else _arc_at(seq, k, d)
     return _arc_signature(matrix, arc)
 
@@ -584,8 +608,9 @@ def tl_signature(matrix: SeifertMatrix, r: int, m: int) -> int:
 
     Exact: xi is placed on its arc between jumps by Sturm counts at the
     ends of a rigorous rational enclosure of tan^2(pi*r/m), refined until
-    both counts agree, and the arc's signature comes from the pivot signs
-    of a fraction-free integer congruence reduction.  Raises
+    both counts agree, and the arc's signature is 0 on arc 0, forced by
+    the jumps on a staircase, or else the pivot signs of a fraction-free
+    integer congruence reduction (see _arc_signature).  Raises
     SingularValueError when the Alexander polynomial vanishes at xi.
     """
     if not 0 < r < m:
@@ -597,7 +622,8 @@ def sigma_total(matrix: SeifertMatrix, m: int) -> int:
     """Total signature sum over r = 1 .. m-1 at the m-th roots of unity.
 
     Raises SingularValueError, with the smallest such r, when the Alexander
-    polynomial vanishes at one of them.  Otherwise xi^r and xi^(m-r) share
+    polynomial vanishes at one of them, which needs 3 <= d <= 8 jumps^2 for
+    its order d (_alexander_vanishes_at).  Otherwise xi^r and xi^(m-r) share
     a signature, so the sum is twice each arc's signature times its count
     of r < m/2, plus the last arc once more, for xi = -1, when m is even.
     """
@@ -605,12 +631,10 @@ def sigma_total(matrix: SeifertMatrix, m: int) -> int:
         raise ValueError("need m >= 1")
     if not matrix.entries:
         return 0
-    poly = matrix.alexander
-    top = 2 * (2 * poly.degree) ** 2  # larger orders are never singular: see _alexander_vanishes_at
-    for d in range(min(m, top), 0, -1):
-        if m % d == 0 and _alexander_vanishes_at(poly, d):
+    seq, jumps, _ = _jumps(matrix)
+    for d in range(min(m, 8 * jumps * jumps), 2, -1):
+        if m % d == 0 and _alexander_vanishes_at(matrix.alexander, d, jumps):
             raise SingularValueError(m // d, m)
-    seq, jumps = _jumps(matrix)
     counts = _arc_counts(seq, jumps, m)
     total = sum(2 * n * _arc_signature(matrix, arc) for arc, n in enumerate(counts) if n)
     if m % 2 == 0:

@@ -175,8 +175,8 @@ def _stages(record: KnotRecord, slopes, sign: int, lens=None, delta2=None):
 
 
 def _tie_tag(record: KnotRecord) -> str:
-    """The tag when every stage ties, from the L-space form of the
-    Alexander polynomial."""
+    """The tag when every stage ties: UnknotCosmetic only for a record
+    marked trivial whose Alexander polynomial is 1, else Inconclusive."""
     try:
         form = parse_lspace_form(record.alexander)
     except NotLSpaceFormError:
@@ -185,7 +185,7 @@ def _tie_tag(record: KnotRecord) -> str:
         raise ArithmeticError(
             "alternating Alexander form with nonzero top term cannot reach this step"
         )
-    return UNKNOT_COSMETIC
+    return UNKNOT_COSMETIC if record.trivial else INCONCLUSIVE
 
 
 def distinguish(record: KnotRecord, s1: Slope, s2: Slope) -> Verdict:

@@ -332,6 +332,17 @@ def test_sweep_exit_code_on_inconclusive(tmp_path, capsys):
     assert "inconclusive" in err.lower()
 
 
+def test_sweep_exits_1_on_a_nontrivial_record_with_alexander_one(tmp_path, capsys):
+    # Delta = 1 and nothing else on file: the lens-tied pairs are not
+    # cosmetic unless the record is marked trivial.
+    corpus = tmp_path / "kt.json"
+    corpus.write_text(json.dumps([{"name": "kt", "alexander": {"a0": 1}}]))
+    argv = ["sweep", "--knot", str(corpus), "--pmax", "5", "--qmax", "5"]
+    code, _, err = run(capsys, *argv, "--out", str(tmp_path / "r.csv"))
+    assert code == 1 and "inconclusive" in err.lower()
+    assert "UnknotCosmetic" not in (tmp_path / "r.csv").read_text()
+
+
 @pytest.mark.parametrize(
     "field, value",
     [

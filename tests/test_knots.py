@@ -34,15 +34,21 @@ from dehnsurg.cyclotomic import (
     _poly_mul,
     _poly_sub,
     _trim,
+    cyclotomic_polynomial,
 )
 from dehnsurg.knots import (
+    _alexander_vanishes_at,
+    _arc_inertia,
+    _arc_signature,
     _in_u,
     _int_det,
+    _jumps,
     _packed_alexander,
     _roots_upto,
     _sturm,
     _symmetric_inertia,
     _tan2_enclosure,
+    _totient,
 )
 
 TREFOIL = SeifertMatrix([[-1, 1], [0, -1]])
@@ -549,6 +555,85 @@ def test_sigma_total_cold_time_independent_of_m(corpus_by_name, clear_caches):
         sigma_total(torus_2_7, m)
         elapsed = time.perf_counter() - start
         assert elapsed < 0.05, (m, elapsed)
+
+
+def block_sum(*matrices):
+    """Seifert matrix of the connected sum: the block-diagonal sum."""
+    n = sum(a.size for a in matrices)
+    rows, offset = [], 0
+    for a in matrices:
+        rows += [[0] * offset + list(row) + [0] * (n - offset - a.size) for row in a.entries]
+        offset += a.size
+    return SeifertMatrix(rows)
+
+
+def signature_test_matrices(corpus):
+    """The corpus, its mirrors, random pairings of genus 1-6 and connected
+    sums, among them sums whose D has repeated roots."""
+    rng = random.Random(70)
+    by_name = {r.name: r.seifert for r in corpus if r.seifert is not None}
+    matrices = [a for a in by_name.values() if a.size]
+    matrices += [a.mirror() for a in matrices]
+    matrices += [random_seifert(rng, genus) for genus in range(1, 7) for _ in range(20)]
+    right, t25, t27 = by_name["trefoil_right"], by_name["torus_2_5"], by_name["torus_2_7"]
+    eight = by_name["figure_eight"]
+    matrices += [
+        block_sum(t25, t25, right.mirror()),
+        block_sum(right, right),
+        block_sum(right, right.mirror()),
+        block_sum(t25, right, eight),
+        block_sum(t27, t25.mirror()),
+        block_sum(t27, random_seifert(rng, 2)),
+    ]
+    return matrices
+
+
+def test_arc_rule_matches_the_inertia_on_every_arc(corpus, clear_caches, monkeypatch):
+    # _arc_signature reads arc 0 and staircases off the jumps and runs the
+    # integer inertia only on the other arcs; every arc must agree with it.
+    inertia_arcs = []
+
+    def recorded(matrix, arc):
+        inertia_arcs.append(arc)
+        return _arc_inertia(matrix, arc)
+
+    monkeypatch.setattr(knots, "_arc_inertia", recorded)
+    clear_caches()
+    staircase = fallback = 0
+    for a in signature_test_matrices(corpus):
+        jumps = _jumps(a)[1]
+        inertia_arcs.clear()
+        got = [_arc_signature(a, arc) for arc in range(jumps + 1)]
+        assert got == [_arc_inertia(a, arc) for arc in range(jumps + 1)], a.entries
+        assert got[0] == 0 and 0 not in inertia_arcs and jumps not in inertia_arcs
+        fallback += len(inertia_arcs)
+        staircase += jumps - 1 - len(inertia_arcs) if jumps else 0
+    assert staircase >= 8 and fallback >= 10, (staircase, fallback)
+    # Two double roots of D, jumps of -4, around a simple one, a jump of +2:
+    # the last arc is -2 per jump, yet the arcs are no staircase.
+    by_name = {r.name: r.seifert for r in corpus}
+    a = block_sum(by_name["torus_2_5"], by_name["torus_2_5"], by_name["trefoil_left"])
+    assert a.size == 10 and not _jumps(a)[2]
+    assert [_arc_signature(a, arc) for arc in range(4)] == [0, -4, -2, -6]
+
+
+def test_cyclotomic_factors_are_bounded_by_the_jumps(corpus):
+    # Phi_d | Delta puts phi(d)/2 distinct jumps on the upper semicircle, and
+    # never happens for d <= 2: the singularity test divides by no other.
+    divisors = set()
+    for a in signature_test_matrices(corpus):
+        poly, jumps = a.alexander, _jumps(a)[1]
+        for d in range(1, 201):
+            try:
+                _poly_divexact(poly.as_int_poly(), list(cyclotomic_polynomial(d)))
+                divides = True
+            except ArithmeticError:
+                divides = False
+            if divides:
+                assert d >= 3 and _totient(d) <= 2 * jumps, (a.entries, d)
+                divisors.add(d)
+            assert _alexander_vanishes_at(poly, d, jumps) == divides, (a.entries, d)
+    assert {6, 10, 14} <= divisors
 
 
 def test_tan2_enclosure_contains_true_value():

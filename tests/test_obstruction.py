@@ -127,6 +127,20 @@ def test_unknot_completeness(corpus_by_name):
         assert (v.tag == UNKNOT_COSMETIC) == cosmetic, (s1, s2, v)
 
 
+def test_all_tie_rows_are_cosmetic_only_on_trivial_records():
+    # Delta = 1 and nothing else on file: where the lens parts tie, every
+    # stage ties, but nothing on file says the surgeries are homeomorphic.
+    kt = KnotRecord(name="kt", alexander=SymLaurentPoly(1))
+    report = sweep(kt, 5, 5)
+    assert report.counts == {BY_CASSON_GORDON: 22, INCONCLUSIVE: 44}
+    assert report.nontrivial_inconclusive == 44
+    assert distinguish(kt, Slope(5, 2), Slope(5, 3)).tag == INCONCLUSIVE
+    marked = sweep(replace(kt, trivial=True), 5, 5)
+    assert marked.counts == {BY_CASSON_GORDON: 22, UNKNOT_COSMETIC: 44}
+    assert marked.nontrivial_inconclusive == 0
+    assert [row[:4] for row in marked.rows] == [row[:4] for row in report.rows]
+
+
 def test_step_ordering_soundness(corpus_by_name):
     # Of the invariant pair (tau_cg, lambda), at least one differs exactly
     # when one of the two comparison steps fires; cross-checked against the
@@ -218,9 +232,9 @@ def test_sweep_of_many_records_joins_the_single_record_sweeps(corpus, box):
     # reads Delta''(1) once per record; sweeping the records together must
     # give what sweeping each alone gives.  Past the corpus: an ambient
     # manifold with lambda = 2, a record whose rank stage runs at both
-    # signs, and records with Delta''(1) = 0 and no Floer data: one whose
-    # all-tie rows are UnknotCosmetic (Delta = 1), and two whose are
-    # Inconclusive, of which only the nontrivial one counts as bad.
+    # signs, and records with Delta''(1) = 0 and no Floer data, whose
+    # all-tie rows are Inconclusive: two nontrivial ones (one with Delta = 1)
+    # count as bad, the one marked trivial does not.
     bare = KnotRecord(name="bare", alexander=SymLaurentPoly(7, (-4, 1)))
     records = oracle_records(corpus) + [
         KnotRecord(name="alexander_one_no_floer", alexander=SymLaurentPoly(1)),
@@ -327,7 +341,7 @@ def _first_difference(record: KnotRecord, stages, i: int, j: int) -> Verdict:
         raise ArithmeticError(
             "alternating Alexander form with nonzero top term cannot reach this step"
         )
-    return Verdict(UNKNOT_COSMETIC)
+    return Verdict(UNKNOT_COSMETIC if record.trivial else INCONCLUSIVE)
 
 
 def fraction_rule_distinguish(record, s1, s2):
