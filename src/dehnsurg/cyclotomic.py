@@ -1,18 +1,16 @@
-"""Exact polynomial helpers, cyclotomic polynomials, rigorous fixed-point
-cosines and real cyclotomic fields Q(2cos(2pi/N)).
-
-The polynomial helpers, minimal polynomials and cosines serve the rest of
-the package.  The fields are off its runtime path: signatures come from
-`knots`, and the tests check them against an exact computation over these
-fields.
+"""The real cyclotomic fields Q(2cos(2pi/N)): the tests' exact oracle for
+the signatures that `knots` computes.  The runtime never imports this
+module; it takes its cyclotomic polynomials and rigorous fixed-point
+cosines from `knots`, and adds the polynomial arithmetic, the minimal
+polynomials of 2cos(2pi/N) and the fields themselves.
 
 Field elements are polynomials in u = 2cos(2pi/N) reduced modulo the
 minimal polynomial of u, with Fraction coefficients, so comparison with
 zero is decided exactly.  Signs of nonzero elements are certified by
 evaluating the polynomial on a shrinking rational interval enclosure of u;
-the enclosure comes from the fixed-point cosine below, whose error bound
-is proved, and every subsequent interval operation is exact over
-Fractions, so a verdict is never the product of rounding.
+the enclosure comes from `knots._cos_fixed`, whose error bound is proved,
+and every subsequent interval operation is exact over Fractions, so a
+verdict is never the product of rounding.
 """
 
 from __future__ import annotations
@@ -20,22 +18,17 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
+from .knots import _cos_fixed, _trim, cyclotomic_polynomial
+
 __all__ = [
     "RealCyclotomicField",
     "FieldElement",
-    "cyclotomic_polynomial",
     "cos_minimal_polynomial",
 ]
 
 
 # ---------------------------------------------------------------------------
 # Dense polynomial helpers; coefficient lists run low degree to high.
-
-
-def _trim(c: list) -> list:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
 
 
 def _poly_mul(a: list, b: list) -> list:
@@ -64,39 +57,6 @@ def _poly_sub(a: list, b: list) -> list:
     return _trim(out)
 
 
-def _poly_divexact(a: list, b: list) -> list:
-    """Integer polynomial division known in advance to be exact."""
-    a = list(a)
-    out = [0] * (len(a) - len(b) + 1)
-    lead = b[-1]
-    for i in range(len(out) - 1, -1, -1):
-        coef = a[i + len(b) - 1]
-        if coef % lead != 0:
-            raise ArithmeticError("inexact polynomial division")
-        coef //= lead
-        out[i] = coef
-        if coef:
-            for j, y in enumerate(b):
-                a[i + j] -= coef * y
-    if _trim(a):
-        raise ArithmeticError("nonzero remainder in exact polynomial division")
-    return _trim(out)
-
-
-@lru_cache(maxsize=None)
-def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Coefficients (low to high) of the n-th cyclotomic polynomial."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if n == 1:
-        return (-1, 1)
-    num = [-1] + [0] * (n - 1) + [1]  # x^n - 1
-    for d in range(1, n):
-        if n % d == 0:
-            num = _poly_divexact(num, list(cyclotomic_polynomial(d)))
-    return tuple(num)
-
-
 def _in_two_cos(a0: int, higher) -> list:
     """a0 + sum_j higher[j-1] * 2cos(j theta) as an integer polynomial in
     x = 2cos(theta), from 2cos(j theta) = x * 2cos((j-1) theta) - 2cos((j-2) theta)."""
@@ -121,49 +81,6 @@ def cos_minimal_polynomial(n: int) -> tuple[int, ...]:
     phi = cyclotomic_polynomial(n)
     h = (len(phi) - 1) // 2
     return tuple(_in_two_cos(phi[h], phi[h + 1 :]))
-
-
-@lru_cache(maxsize=None)
-def _pi_fixed(w: int) -> tuple[int, int]:
-    """(p, e) with |pi * 2^w - p| <= e, from Machin's formula
-    pi = 16 atan(1/5) - 4 atan(1/239) summed in w-bit fixed point."""
-
-    def atan_inv(n):
-        # Term k is floor(2^w / ((2k+1) n^(2k+1))), less than 1 below the
-        # true term, and once the power reaches 0 the alternating tail is
-        # below 1: k terms are off by less than k + 1 in all.
-        total, power, k = 0, (1 << w) // n, 0
-        while power:
-            term = power // (2 * k + 1)
-            total += -term if k % 2 else term
-            power //= n * n
-            k += 1
-        return total, k + 1
-
-    a, err_a = atan_inv(5)
-    b, err_b = atan_inv(239)
-    return 16 * a - 4 * b, 16 * err_a + 4 * err_b
-
-
-def _cos_fixed(a: int, b: int, w: int) -> tuple[int, int]:
-    """(c, e) with |cos(pi a/b) * 2^w - c| <= e, for 0 <= a/b <= 1/2.
-
-    The alternating Taylor series is summed in w-bit fixed point at the
-    fixed-point angle x, which is off by at most e_pi + 1.  With x <= pi/2
-    every floored term is off by less than 2, the terms decrease after the
-    first, and the tail after the first zero term is below 2; cos is
-    1-Lipschitz, so the angle's error adds as it is.
-    """
-    p, err_pi = _pi_fixed(w)
-    x = p * a // b
-    x2, shift = x * x, 2 * w
-    total = term = 1 << w
-    k = 0
-    while term:
-        k += 1
-        term = term * x2 // ((2 * k - 1) * 2 * k << shift)
-        total += -term if k % 2 else term
-    return total, 2 * k + 2 + err_pi + 1
 
 
 @lru_cache(maxsize=None)

@@ -3,12 +3,16 @@
 Covers the normalized symmetric Alexander polynomial (one packed integer
 determinant in X = (1 - T)/(1 + T) per matrix), its second derivative at 1,
 Tristram-Levine signatures at roots of unity (exact: constant on the arcs
-between roots of the Alexander polynomial, which Sturm sequences isolate;
-arc 0 is 0, and an integer congruence reduction runs only on the arcs that
-the jump count and the last arc leave open), the total signature sum (by
-counting the roots of unity on each arc: O(log m) placements per jump,
-none per root), and recognition of the Alexander-polynomial shape forced
-by L-space surgeries.
+between the roots of the jump polynomial D(u), u = tan^2(theta/2), which
+Sturm sequences isolate; arc 0 is 0, and an integer congruence reduction
+runs only on the arcs that the jump count and the last arc leave open), the
+total signature sum (by counting the roots of unity on each arc: O(log m)
+placements per jump, none per root), and recognition of the
+Alexander-polynomial shape forced by L-space surgeries.
+
+One Cayley map, z -> (1 - z)/(1 + z), takes det(K + X S) to Delta and
+T^deg Delta(T) to D(u).  The integer polynomial helpers, cyclotomic
+polynomials and rigorous fixed-point cosines live here too.
 """
 
 from __future__ import annotations
@@ -18,15 +22,6 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-
-from .cyclotomic import (
-    _cos_fixed,
-    _in_two_cos,
-    _poly_add,
-    _poly_divexact,
-    _poly_mul,
-    cyclotomic_polynomial,
-)
 
 __all__ = [
     "SeifertMatrix",
@@ -57,6 +52,49 @@ class SingularValueError(ValueError):
 
 class NotLSpaceFormError(ValueError):
     """The polynomial is not of the alternating form forced by L-space surgeries."""
+
+
+# ---------------------------------------------------------------------------
+# Dense polynomial helpers; coefficient lists run low degree to high.
+
+
+def _trim(c: list) -> list:
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def _poly_divexact(a: list, b: list) -> list:
+    """Integer polynomial division known in advance to be exact."""
+    a = list(a)
+    out = [0] * (len(a) - len(b) + 1)
+    lead = b[-1]
+    for i in range(len(out) - 1, -1, -1):
+        coef = a[i + len(b) - 1]
+        if coef % lead != 0:
+            raise ArithmeticError("inexact polynomial division")
+        coef //= lead
+        out[i] = coef
+        if coef:
+            for j, y in enumerate(b):
+                a[i + j] -= coef * y
+    if _trim(a):
+        raise ArithmeticError("nonzero remainder in exact polynomial division")
+    return _trim(out)
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
+    """Coefficients (low to high) of the n-th cyclotomic polynomial."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    if n == 1:
+        return (-1, 1)
+    num = [-1] + [0] * (n - 1) + [1]  # x^n - 1
+    for d in range(1, n):
+        if n % d == 0:
+            num = _poly_divexact(num, list(cyclotomic_polynomial(d)))
+    return tuple(num)
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +168,17 @@ def _taylor_shift(c: list, a: int) -> None:
     for i in range(top):
         for j in range(top - 1, i - 1, -1):
             c[j] += a * c[j + 1]
+
+
+def _cayley(c: list) -> list:
+    """(1 + z)^N c((1 - z)/(1 + z)) for N = len(c) - 1: with s = 1 + z it
+    is s^N F(2/s) for F(x) = c(x - 1), then s -> 1 + z.  The map is an
+    involution, so applying _cayley twice multiplies c by 2^N."""
+    c = list(c)
+    _taylor_shift(c, -1)  # F
+    c = [f << k for k, f in enumerate(c)][::-1]  # s^N F(2/s)
+    _taylor_shift(c, 1)
+    return c
 
 
 @dataclass(frozen=True)
@@ -280,9 +329,8 @@ def alexander_from_seifert(matrix: SeifertMatrix) -> SymLaurentPoly:
 
     One packed determinant gives E(X) = det(K + X S) = sum_j e_j X^(2j),
     whose lowest digit e_0 is det(A - A^T): ValueError unless it is +-1.
-    Then 2^n D(T) = sum_j e_j (1 - T)^(2j) (1 + T)^(n - 2j), palindromic
-    as every power of X is even.  With s = 1 + T, X = 2/s - 1, so it is
-    s^n F(2/s) for F(z) = E(z - 1), with s -> 1 + T after.
+    Then 2^n D(T) = sum_j e_j (1 - T)^(2j) (1 + T)^(n - 2j), the Cayley
+    image of E (see _cayley), palindromic as every power of X is even.
 
     A digit off by d adds d (1 - T)^(2j) (1 + T)^(n - 2j), constant term d,
     to 2^n D: the division by 2^n is inexact unless 2^n divides d, and
@@ -297,9 +345,7 @@ def alexander_from_seifert(matrix: SeifertMatrix) -> SymLaurentPoly:
         raise ValueError(f"det(A - A^T) = {e[0]}, not +-1: not a valid Seifert pairing")
     c = [0] * (n + 1)
     c[::2] = e  # E, low degree first
-    _taylor_shift(c, -1)  # F
-    c = [f << k for k, f in enumerate(c)][::-1]  # s^n F(2/s)
-    _taylor_shift(c, 1)  # 2^n D(T)
+    c = _cayley(c)  # 2^n D(T)
     if any(x & ((1 << n) - 1) for x in c):
         raise ArithmeticError("2^n det(A - T A^T) is not divisible by 2^n; the determinant is wrong")
     c = [x >> n for x in c]
@@ -348,28 +394,15 @@ def _alexander_vanishes_at(poly: SymLaurentPoly, d: int, jumps: int) -> bool:
 # Tristram-Levine signatures.  On the unit circle the signature changes only
 # where Delta vanishes, so it is constant on each arc between roots of
 # Delta.  For xi = e^(i theta) with 0 < theta < pi, put t = tan(theta/2) and
-# u = t^2: then 2cos(theta) = 2(1 - u)/(1 + u), which maps theta increasingly
-# onto u in (0, inf), so the arcs are the intervals between the positive
-# roots of an integer polynomial in u, and Sturm sequences isolate them.
-# The root e^(2 pi i r/m) sits at u = tan^2(pi r/m), placed on its arc by a
-# rigorous rational enclosure of that number; u grows with r, so a total
-# signature needs only the last r below each jump, found by bisection.
+# u = t^2, which maps theta increasingly onto u in (0, inf).  The Cayley map
+# z = (1 - T)/(1 + T) takes xi to -i t, so z^2 = -u, and the Cayley image
+# of T^deg Delta(T), even in z as Delta is symmetric, is the integer
+# polynomial D(u) = (1 + u)^deg Delta(xi) (see _jumps).  The arcs are the
+# intervals between the positive roots of D, and Sturm sequences isolate
+# them.  The root e^(2 pi i r/m) sits at u = tan^2(pi r/m), placed on its
+# arc by a rigorous rational enclosure of that number; u grows with r, so a
+# total signature needs only the last r below each jump, found by bisection.
 # Arc 0 has signature 0 and simple roots move it by +-2: see _arc_signature.
-
-
-def _in_u(poly_x) -> list:
-    """(1 + u)^deg * f(2(1 - u)/(1 + u)) for f a polynomial in x = 2cos(theta)."""
-    deg = len(poly_x) - 1
-    out: list = []
-    for i, c in enumerate(poly_x):
-        if c:
-            term = [c << i]
-            for _ in range(i):
-                term = _poly_mul(term, [1, -1])
-            for _ in range(deg - i):
-                term = _poly_mul(term, [1, 1])
-            out = _poly_add(out, term)
-    return out
 
 
 def _primitive(p) -> tuple:
@@ -454,11 +487,57 @@ def _jumps(matrix: SeifertMatrix):
     is squarefree), where D(u) = (1 + u)^deg * Delta(e^(i theta)).
     D(0) = Delta(1) = 1 and the top coefficient of D is Delta(-1) != 0, so
     the jumps are exactly the positive roots of D.  _sturm divides out
-    repeated factors, so D is squarefree when its first entry is as long."""
-    poly = matrix.alexander
-    d = _in_u(_in_two_cos(poly.a0, poly.higher))
+    repeated factors, so D is squarefree when its first entry is as long.
+    D(u) = sum_j (-1)^j E_2j u^j for E = _cayley(T^deg Delta), as z^2 = -u.
+    Delta's own degree is used, not the genus: the packed digits carry an
+    extra (1 + u)^(genus - deg), a repeated factor once that is >= 2."""
+    d = _cayley(matrix.alexander.as_int_poly())[::2]
+    d[1::2] = [-x for x in d[1::2]]
     seq = _sturm(d)
     return seq, _roots_upto(seq, None), len(seq[0]) == len(d)
+
+
+@lru_cache(maxsize=None)
+def _pi_fixed(w: int) -> tuple[int, int]:
+    """(p, e) with |pi * 2^w - p| <= e, from Machin's formula
+    pi = 16 atan(1/5) - 4 atan(1/239) summed in w-bit fixed point."""
+
+    def atan_inv(n):
+        # Term k is floor(2^w / ((2k+1) n^(2k+1))), less than 1 below the
+        # true term, and once the power reaches 0 the alternating tail is
+        # below 1: k terms are off by less than k + 1 in all.
+        total, power, k = 0, (1 << w) // n, 0
+        while power:
+            term = power // (2 * k + 1)
+            total += -term if k % 2 else term
+            power //= n * n
+            k += 1
+        return total, k + 1
+
+    a, err_a = atan_inv(5)
+    b, err_b = atan_inv(239)
+    return 16 * a - 4 * b, 16 * err_a + 4 * err_b
+
+
+def _cos_fixed(a: int, b: int, w: int) -> tuple[int, int]:
+    """(c, e) with |cos(pi a/b) * 2^w - c| <= e, for 0 <= a/b <= 1/2.
+
+    The alternating Taylor series is summed in w-bit fixed point at the
+    fixed-point angle x, which is off by at most e_pi + 1.  With x <= pi/2
+    every floored term is off by less than 2, the terms decrease after the
+    first, and the tail after the first zero term is below 2; cos is
+    1-Lipschitz, so the angle's error adds as it is.
+    """
+    p, err_pi = _pi_fixed(w)
+    x = p * a // b
+    x2, shift = x * x, 2 * w
+    total = term = 1 << w
+    k = 0
+    while term:
+        k += 1
+        term = term * x2 // ((2 * k - 1) * 2 * k << shift)
+        total += -term if k % 2 else term
+    return total, 2 * k + 2 + err_pi + 1
 
 
 def _tan2_enclosure(r: int, m: int, w: int) -> tuple[Fraction, Fraction | None]:

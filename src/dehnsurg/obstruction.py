@@ -406,6 +406,8 @@ def _record_from_dict(raw: dict, context: str) -> KnotRecord:
     trivial = raw.get("trivial", False)
     if not isinstance(trivial, bool):
         fail(f"'trivial' must be true or false, got {trivial!r}")
+    if trivial and alexander.degree:
+        fail(f"'trivial' is true but the Alexander polynomial is {alexander}, not 1")
     if hf is not None:
         model_nu = nu_of(hf)
         if nu is not None and nu != model_nu:

@@ -343,6 +343,19 @@ def test_sweep_exits_1_on_a_nontrivial_record_with_alexander_one(tmp_path, capsy
     assert "UnknotCosmetic" not in (tmp_path / "r.csv").read_text()
 
 
+def test_sweep_rejects_trivial_mark_on_a_nontrivial_alexander(tmp_path, capsys):
+    # Marked trivial, its inconclusive rows would not count and sweep would exit 0.
+    corpus = tmp_path / "fake.json"
+    corpus.write_text(json.dumps([{"name": "x", "alexander": {"a0": 7, "a": [-4, 1]}, "trivial": True}]))
+    argv = ["sweep", "--knot", str(corpus), "--pmax", "5", "--qmax", "5"]
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path / "r.csv"))
+    assert code == 1 and out == ""
+    assert err == (
+        f"error: {corpus}: record 0 (x): 'trivial' is true but the Alexander "
+        "polynomial is T^2 - 4T + 7 - 4T^-1 + T^-2, not 1\n"
+    )
+
+
 @pytest.mark.parametrize(
     "field, value",
     [

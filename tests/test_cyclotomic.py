@@ -9,8 +9,8 @@ from dehnsurg.cyclotomic import (
     RealCyclotomicField,
     _generator_enclosure,
     cos_minimal_polynomial,
-    cyclotomic_polynomial,
 )
+from dehnsurg.knots import cyclotomic_polynomial
 
 
 def euler_phi(n):

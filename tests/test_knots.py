@@ -30,25 +30,26 @@ from dehnsurg.cyclotomic import (
     RealCyclotomicField,
     _frac_divmod,
     _in_two_cos,
-    _poly_divexact,
+    _poly_add,
     _poly_mul,
     _poly_sub,
-    _trim,
-    cyclotomic_polynomial,
 )
 from dehnsurg.knots import (
     _alexander_vanishes_at,
     _arc_inertia,
     _arc_signature,
-    _in_u,
+    _cayley,
     _int_det,
     _jumps,
     _packed_alexander,
+    _poly_divexact,
     _roots_upto,
     _sturm,
     _symmetric_inertia,
     _tan2_enclosure,
     _totient,
+    _trim,
+    cyclotomic_polynomial,
 )
 
 TREFOIL = SeifertMatrix([[-1, 1], [0, -1]])
@@ -706,6 +707,34 @@ def test_signatures_do_not_load_mpmath():
     assert run_without_mpmath(code) == 0
 
 
+def test_runtime_never_imports_the_field_oracle(tmp_path):
+    out = tmp_path / "s.csv"
+    code = f"""
+import sys
+sys.modules["dehnsurg.cyclotomic"] = None  # any import of it now raises ImportError
+import dehnsurg as ds
+from dehnsurg.cli import main
+
+corpus = str(ds.bundled_corpus_path())
+knot = ["--knot", corpus, "--name", "torus_2_5"]
+commands = [
+    ["dedekind", "1", "3"],
+    ["lens", "3", "1"],
+    ["alexander", *knot],
+    ["casson-walker", *knot, "--slope", "1/2"],
+    ["casson-gordon", *knot, "--slope", "5/2", "--verbose"],
+    ["signature", *knot, "--m", "13"],
+    ["hf-rank", *knot, "--slope", "3/1", "--both"],
+    ["distinguish", *knot, "--slopes", "5/1", "5/2", "--verbose"],
+    ["sweep", "--knot", corpus, "--pmax", "4", "--qmax", "4", "--out", {str(out)!r}],
+]
+for argv in commands:
+    assert main(argv) == 0, argv
+"""
+    assert run_without_mpmath(code) == 0
+    assert out.read_text().startswith("name,")
+
+
 def test_every_command_and_field_sign_runs_with_mpmath_blocked(tmp_path):
     code = f"""
 import sys
@@ -1114,6 +1143,49 @@ def test_non_integral_entries_are_rejected_not_truncated():
     assert SeifertMatrix(np.array([[-1, 1], [0, -1]])) == TREFOIL
     assert SymLaurentPoly(np.int64(3), [np.int64(-1)]) == alexander_from_seifert(FIGURE_EIGHT)
     assert type(SymLaurentPoly(np.int64(1)).a0) is int
+
+
+def _in_u(poly_x) -> list:
+    """(1 + u)^deg * f(2(1 - u)/(1 + u)) for f a polynomial in x = 2cos(theta)."""
+    deg = len(poly_x) - 1
+    out: list = []
+    for i, c in enumerate(poly_x):
+        if c:
+            term = [c << i]
+            for _ in range(i):
+                term = _poly_mul(term, [1, -1])
+            for _ in range(deg - i):
+                term = _poly_mul(term, [1, 1])
+            out = _poly_add(out, term)
+    return out
+
+
+def test_cayley_applied_twice_multiplies_by_two_to_the_n():
+    rng = random.Random(71)
+    polys = [[rng.randint(-30, 30) for _ in range(rng.randint(1, 26))] for _ in range(200)]
+    polys += [[rng.randint(-(10**30), 10**30) for _ in range(n)] for n in (1, 2, 9, 40)]
+    for c in polys:
+        assert _cayley(_cayley(c)) == [x << (len(c) - 1) for x in c], c
+
+
+def test_jumps_match_the_two_cos_oracle(corpus):
+    # D(u) from the Cayley image of Delta against the former route through
+    # Delta in 2cos(theta), with the same jump count and squarefree flag.
+    rng = random.Random(73)
+    matrices = [r.seifert for r in corpus if r.seifert is not None]
+    matrices += [random_seifert(rng, genus) for genus in range(1, 13)]
+    for genus in range(4):
+        base = random_seifert(rng, genus).entries if genus else ()
+        for extra in (2, 3):
+            a = _with_null_blocks(base, extra)
+            matrices.append(SeifertMatrix(a))
+            matrices.append(SeifertMatrix(_congruent(a, _unimodular(rng, len(a)))))
+    gaps = [a.size // 2 - a.alexander.degree for a in matrices]
+    assert sum(gap >= 2 for gap in gaps) >= 8
+    for a in matrices + [a.mirror() for a in matrices]:
+        d = _in_u(_in_two_cos(a.alexander.a0, a.alexander.higher))
+        seq = _sturm(d)
+        assert _jumps(a) == (seq, _roots_upto(seq, None), len(seq[0]) == len(d)), a.entries
 
 
 def fraction_primitive(p) -> tuple:

@@ -542,6 +542,29 @@ def test_load_knots_corpus(corpus):
         assert record.alexander.a0 + 2 * sum(record.alexander.higher) == 1
 
 
+def test_loader_accepts_trivial_only_with_alexander_one(tmp_path):
+    path = tmp_path / "k.json"
+    records = [
+        {"name": "u", "alexander": {"a0": 1}, "trivial": True},
+        {"name": "null", "seifert_matrix": [[0, 1], [0, 0]], "trivial": True},
+        {"name": "fig8", "alexander": {"a0": 3, "a": [-1]}, "trivial": False},
+    ]
+    path.write_text(json.dumps(records))
+    assert [r.trivial for r in load_knots(path)] == [True, True, False]
+    for i, (raw, poly) in enumerate(
+        (
+            ({"alexander": {"a0": 3, "a": [-1]}}, "-T + 3 - T^-1"),
+            ({"seifert_matrix": [[-1, 1], [0, -1]]}, "T - 1 + T^-1"),
+        )
+    ):
+        path.write_text(json.dumps(records[:i] + [{"name": "k", **raw, "trivial": True}]))
+        with pytest.raises(ValueError) as info:
+            load_knots(path)
+        assert str(info.value) == (
+            f"{path}: record {i} (k): 'trivial' is true but the Alexander polynomial is {poly}, not 1"
+        )
+
+
 def test_load_knots_error_reporting(tmp_path):
     bad = tmp_path / "bad.json"
 
