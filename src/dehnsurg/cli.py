@@ -2,8 +2,8 @@
 
 All numeric output is printed as exact fractions, so reports are diffable
 and byte-identical across runs.  Exit codes: 0 success, 1 computation
-error (for sweep, also a nonzero inconclusive count on nontrivial
-records), 2 usage error.
+error or exhausted memory, with one error line (for sweep, also a nonzero
+inconclusive count on nontrivial records), 2 usage error.
 """
 
 from __future__ import annotations
@@ -236,6 +236,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except (ValueError, ArithmeticError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

@@ -4,9 +4,9 @@ Knot Floer input is recorded at the level of homology: the rank of each
 hat-A complex and whether the two induced maps to the hat-B complex are
 nonzero.  Over the two-element field this is enough to assemble the
 surgery mapping cone up to quasi-isomorphism and read off the total rank
-of the surgered manifold's hat homology, which is exactly what the rank
-oracle does by brute-force GF(2) elimination.  The closed-form rank
-formula is implemented independently so the two routes can be compared.
+of the surgered manifold's hat homology, which is what the rank oracle
+does.  The closed-form rank formula is implemented independently so the
+two routes can be compared.
 
 Maps with rank-one target are encoded as bits; where a source has rank
 above one, the nonzero map is realized as (1, 0, ..., 0), which matches
@@ -18,6 +18,13 @@ surgeries", section 4).  From W = g + ceil(|p|/q) on, the columns with
 |floor(t/q)| <= g keep both their targets, and each further column has
 rank one and one nonzero map, onto its own row, so the tails cancel; see
 build_cone.
+
+build_cone assembles one Spin^c class as GF(2) bitmask columns; the tests
+rank it by elimination as the oracle's oracle.  cone_rank_oracle never
+builds it: only the min(|p|, (2g+1)q) classes holding some t with
+|floor(t/q)| <= g can have rank other than one, and each of those is
+ranked as a graph, every column having at most two nonzeros in adjacent
+rows, by counting a spanning forest with union-find.
 """
 
 from __future__ import annotations
@@ -219,21 +226,92 @@ def build_cone(data: KnotFloerData, slope: Slope, spinc: int, extra_window: int 
 def cone_rank_oracle(data: KnotFloerData, slope: Slope, verify_stability: bool = True) -> int:
     """Total hat-homology rank of the surgered manifold, summed over Spin^c.
 
-    Brute force: assembles each truncated cone and counts kernel plus
-    cokernel.  With verify_stability the computation is repeated on a
-    strictly larger window and the two answers are required to agree.
+    The cone of each Spin^c class is build_cone's truncated matrix, ranked
+    without being built.  With verify_stability the computation is
+    repeated on a strictly larger window and the two answers are required
+    to agree.
+
+    Only the classes holding some t in [-gq, (g+1)q) are ranked; every
+    other class has rank exactly one.  In such a class every A_t has rank
+    one and exactly one nonzero map: the v-map when s = floor(t/q) > g
+    (the h-map would need s <= -threshold, so s <= g), the h-map when
+    s < -g.  Write the class's A-indices t_0 < ... < t_{n-1}, steps of
+    |p|.  The window reaches more than |p| past both ends of
+    [-gq, (g+1)q), so the low indices t_0 .. t_k, below -gq, are followed
+    by high ones t_{k+1} .. t_{n-1}, at or above (g+1)q.  A v-map sends
+    A_t to B_t and an h-map to B_{t+p}.  For p > 0 the B-part is
+    B_{t_1} .. B_{t_{n-1}}: low A_{t_j} hits B_{t_{j+1}}, high A_{t_j} hits
+    B_{t_j}, so every row is hit, B_{t_{k+1}} twice, and the map is onto
+    with a one-dimensional kernel.  For p < 0 it is B_{t_{-1}} ..
+    B_{t_{n-1}}: low A_{t_j} hits B_{t_{j-1}}, high A_{t_j} hits B_{t_j},
+    every column its own row and B_{t_k} none, so the map is one-to-one
+    with a one-dimensional cokernel.  Either way the homology has rank one.
     """
-    pp = abs(slope.p)
-    total = sum(build_cone(data, slope, i).homology_rank() for i in range(pp))
+    total = _cone_rank(data, slope, 0)
     if verify_stability:
-        wider = sum(
-            build_cone(data, slope, i, extra_window=2).homology_rank() for i in range(pp)
-        )
+        wider = _cone_rank(data, slope, 2)
         if wider != total:
             raise ArithmeticError(
                 f"truncation instability: rank {total} vs {wider} on a wider window"
             )
     return total
+
+
+def _cone_rank(data: KnotFloerData, slope: Slope, extra_window: int) -> int:
+    """The sum over Spin^c classes of
+    build_cone(data, slope, spinc, extra_window).homology_rank(), without
+    the matrices: one for each class off [-gq, (g+1)q), plus the rank of
+    the graph below for the others.
+
+    Column i of a class (the first basis vector of A_t, t its i-th
+    A-index) has its h-target in row i and its v-target in row
+    i - sign(p), as in build_cone.  The rest of A_t is a_rank(s) - 1 zero
+    columns; the classes ranked hold all q indices t of each s in [-g, g],
+    so these add up to q times the excess.  A column with two
+    nonzeros is an edge between its two rows, one with a single nonzero an
+    edge from its row to a ground vertex, so the matrix is the incidence
+    matrix of that graph with the ground row deleted, and its GF(2) rank is
+    the size of a spanning forest: the number of merges union-find makes.
+    The homology rank is n_cols + n_rows - 2 rank.  The classes share the
+    ground vertex and nothing else, so one forest ranks them all.
+    """
+    p, q = slope.p, slope.q
+    if q < 1:
+        raise ValueError("the cone is only assembled for slopes with q >= 1")
+    if p == 0:
+        raise ValueError("p must be nonzero")
+    pp = abs(p)
+    g, threshold = data.g, data.v_threshold
+    w = g + -(-pp // q) + 1 + extra_window
+    a_lo, a_hi = -w * q, (w + 1) * q - 1
+    width = min(pp, (2 * g + 1) * q)
+    v_row = -1 if p > 0 else 1
+    parent = [0]  # vertex 0 is the ground
+    n_cols = q * data.excess()
+    n_rows = merges = 0
+    for first in range(-g * q, -g * q + width):  # one t of each class ranked
+        t = a_lo + (first - a_lo) % pp
+        n_a = (a_hi - t) // pp + 1
+        rows = n_a - 1 if p > 0 else n_a + 1  # the B-part starts at the first A-index + p
+        base = len(parent)  # row r of this class is vertex base + r
+        parent.extend(range(base, base + rows))
+        n_cols += n_a
+        n_rows += rows
+        for i in range(n_a):
+            s = t // q
+            t += pp
+            v = base + i + v_row if s >= threshold and 0 <= i + v_row < rows else 0
+            h = base + i if s <= -threshold and i < rows else 0
+            if v == h:  # no nonzero inside the window
+                continue
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
+            while parent[h] != h:
+                parent[h] = h = parent[parent[h]]
+            if v != h:
+                parent[v] = h
+                merges += 1
+    return pp - width + n_cols + n_rows - 2 * merges
 
 
 def rank_formula(data: KnotFloerData, slope: Slope) -> int:

@@ -705,9 +705,16 @@ def sigma_total(matrix: SeifertMatrix, m: int) -> int:
     its order d (_alexander_vanishes_at).  Otherwise xi^r and xi^(m-r) share
     a signature, so the sum is twice each arc's signature times its count
     of r < m/2, plus the last arc once more, for xi = -1, when m is even.
+    The sum is cached per (matrix, m), so the surgeries p/q sharing |p|
+    compute it once.
     """
     if m < 1:
         raise ValueError("need m >= 1")
+    return _sigma_total_cached(matrix, m)
+
+
+@lru_cache(maxsize=None)
+def _sigma_total_cached(matrix: SeifertMatrix, m: int) -> int:
     if not matrix.entries:
         return 0
     seq, jumps, _ = _jumps(matrix)

@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 
 import dehnsurg as ds
+from dehnsurg import cli, knots
 from dehnsurg.cli import main
 
 CORPUS = str(ds.bundled_corpus_path())
@@ -139,6 +140,30 @@ def test_hf_rank_single_modes(capsys):
     assert code == 0 and out == "formula=3\n"
 
 
+@pytest.mark.parametrize("slope", ["1000000007/1", "1/100003", "-1/100003"])
+def test_hf_rank_at_large_slopes_matches_the_formula(capsys, corpus_by_name, slope):
+    # The oracle ranks min(|p|, 3q) classes of figure_eight (g = 1), each
+    # a forest over O(q + |p|/q) columns; the bitmask cone ran out of
+    # memory at 1/100003.
+    want = ds.rank_formula(corpus_by_name["figure_eight"].hf, ds.Slope.parse(slope))
+    code, out, _ = run(
+        capsys, "hf-rank", "--knot", CORPUS, "--name", "figure_eight", "--slope", slope
+    )
+    assert code == 0 and out == f"oracle={want} formula={want}\n"
+
+
+def test_out_of_memory_is_one_error_line(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cone_rank_oracle", exhausted)
+    code, out, err = run(
+        capsys, "hf-rank", "--knot", CORPUS, "--name", "figure_eight", "--slope", "1/100003"
+    )
+    assert code == 1 and out == ""
+    assert err == "error: out of memory\n"
+
+
 def test_hf_rank_missing_data(capsys):
     code, _, err = run(
         capsys, "hf-rank", "--knot", CORPUS, "--name", "twist_5_2", "--slope", "1/1"
@@ -218,6 +243,41 @@ def test_distinguish_verbose_exits_as_plain_distinguish(capsys, corpus):
                 pairs += 1
         capsys.readouterr()
     assert pairs > 1000
+
+
+def test_distinguish_verbose_at_large_slopes(capsys, corpus_by_name):
+    hf = corpus_by_name["figure_eight"].hf
+    argv = ["distinguish", "--knot", CORPUS, "--name", "figure_eight", "--slopes"]
+    slopes = ["1000000007/1", "1000000007/2"]
+    code, plain, _ = run(capsys, *argv, *slopes)
+    assert code == 0
+    code, out, _ = run(capsys, *argv, *slopes, "--verbose")
+    assert code == 0
+    lines = out.splitlines()
+    for label, slope in zip(("invariants1", "invariants2"), slopes):
+        line = next(line for line in lines if line.startswith(f"{label}: "))
+        assert line.endswith(f" hf_rank={ds.rank_formula(hf, ds.Slope.parse(slope))}"), line
+    assert lines[-1] == plain.strip()
+
+
+def test_distinguish_verbose_computes_sigma_once(capsys, clear_caches):
+    # Printed once and needed by full_invariants for each slope.
+    clear_caches()
+    code, out, _ = run(
+        capsys,
+        "distinguish",
+        "--knot",
+        CORPUS,
+        "--name",
+        "trefoil_right",
+        "--slopes",
+        "5/1",
+        "5/2",
+        "--verbose",
+    )
+    assert code == 0 and "sigma(K,5)=-8" in out.splitlines()
+    info = knots._sigma_total_cached.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
 
 
 def test_distinguish_negative_slopes(capsys):

@@ -250,3 +250,41 @@ def test_window_matches_the_old_window():
                         assert new_rank == old_rank, (data, slope, i)
                     cases += 1
     assert cases == 76200
+
+
+def bitmask_sum(data, slope):
+    return sum(build_cone(data, slope, i).homology_rank() for i in range(abs(slope.p)))
+
+
+def test_oracle_equals_the_bitmask_sum(model_corpus):
+    # Criterion 5's box, both signs: the forest count on the classes that
+    # can differ against GF(2) elimination on every class.
+    for data in model_corpus:
+        for slope in reduced_slopes(8, 8):
+            want = bitmask_sum(data, slope)
+            assert cone_rank_oracle(data, slope, verify_stability=False) == want, (data, slope)
+            assert cone_rank_oracle(data, slope) == want, (data, slope)
+
+
+def test_classes_off_the_window_have_rank_one():
+    # A class holding no t in [-gq, (g+1)q) is never ranked by the oracle.
+    rng = random.Random(16)
+    checked = 0
+    for _ in range(40):
+        data = random_floer_data(rng, g_max=4)
+        g = data.g
+        for slope in reduced_slopes(30, 6):
+            pp, q = abs(slope.p), slope.q
+            window = {t % pp for t in range(-g * q, (g + 1) * q)}
+            for i in range(pp):
+                if i not in window:
+                    assert build_cone(data, slope, i).homology_rank() == 1, (data, slope, i)
+                    checked += 1
+    assert checked > 10000
+
+
+def test_oracle_rejects_what_the_cone_rejects():
+    with pytest.raises(ValueError, match="q >= 1"):
+        cone_rank_oracle(FIG8, Slope(1, 0))
+    with pytest.raises(ValueError, match="p must be nonzero"):
+        cone_rank_oracle(FIG8, Slope(0, 1))
