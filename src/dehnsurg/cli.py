@@ -9,14 +9,17 @@ inconclusive count on nontrivial records), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
+from collections import Counter
+from operator import itemgetter
 from pathlib import Path
 
 from .dedekind import LensSpace, dedekind_sum, lens_lambda, lens_tau_cg
 from .hfcone import cone_rank_oracle, rank_formula
 from .knots import SingularValueError, sigma_total
-from .obstruction import distinguish, full_invariants, load_knots, sweep
+from .obstruction import _csv_writer, _sweep_groups, distinguish, full_invariants, load_knots
 from .surgery import Slope, casson_gordon_surgered, casson_walker_surgered
 
 
@@ -200,13 +203,29 @@ def _cmd_sweep(args) -> int:
         records = [r for r in records if r.name == args.name]
         if not records:
             raise ValueError(f"no knot named {args.name!r} in {args.knot}")
-    report = sweep(records, args.pmax, args.qmax)
-    Path(args.out).write_text("\n".join(report.csv_lines()) + "\n")
-    print(f"rows={len(report.rows)}")
-    for tag in sorted(report.counts):
-        print(f"{tag}={report.counts[tag]}")
-    if report.nontrivial_inconclusive:
-        print(f"inconclusive on nontrivial records: {report.nontrivial_inconclusive}", file=sys.stderr)
+    # Each group's rows go to a file beside --out as they are decided, and
+    # it replaces --out only once complete, so an error leaves --out as it was.
+    out = Path(args.out)
+    tmp = out.with_name(f"{out.name}.{os.getpid()}.tmp")
+    counts, rows, bad = Counter(), 0, 0
+    f = open(tmp, "x")  # outside the try: a name clash must not remove the other file
+    try:
+        with f:
+            writer = _csv_writer(f)
+            for group, group_bad in _sweep_groups(records, args.pmax, args.qmax):
+                writer.writerows(group)
+                counts.update(map(itemgetter(4), group))
+                rows += len(group)
+                bad += group_bad
+        os.replace(tmp, out)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    print(f"rows={rows}")
+    for tag in sorted(counts):
+        print(f"{tag}={counts[tag]}")
+    if bad:
+        print(f"inconclusive on nontrivial records: {bad}", file=sys.stderr)
         return 1
     return 0
 

@@ -705,22 +705,27 @@ def sigma_total(matrix: SeifertMatrix, m: int) -> int:
     its order d (_alexander_vanishes_at).  Otherwise xi^r and xi^(m-r) share
     a signature, so the sum is twice each arc's signature times its count
     of r < m/2, plus the last arc once more, for xi = -1, when m is even.
-    The sum is cached per (matrix, m), so the surgeries p/q sharing |p|
-    compute it once.
+    The sum, or the singular outcome, is cached per (matrix, m), so the
+    surgeries p/q sharing |p| compute it once.
     """
     if m < 1:
         raise ValueError("need m >= 1")
-    return _sigma_total_cached(matrix, m)
+    total = _sigma_total_cached(matrix, m)
+    if isinstance(total, SingularValueError):
+        # A fresh exception: raising the cached one again would add every
+        # caller's frames to its traceback and keep them alive.
+        raise SingularValueError(total.r, total.m)
+    return total
 
 
 @lru_cache(maxsize=None)
-def _sigma_total_cached(matrix: SeifertMatrix, m: int) -> int:
+def _sigma_total_cached(matrix: SeifertMatrix, m: int) -> int | SingularValueError:
     if not matrix.entries:
         return 0
     seq, jumps, _ = _jumps(matrix)
     for d in range(min(m, 8 * jumps * jumps), 2, -1):
         if m % d == 0 and _alexander_vanishes_at(matrix.alexander, d, jumps):
-            raise SingularValueError(m // d, m)
+            return SingularValueError(m // d, m)
     counts = _arc_counts(seq, jumps, m)
     total = sum(2 * n * _arc_signature(matrix, arc) for arc, n in enumerate(counts) if n)
     if m % 2 == 0:

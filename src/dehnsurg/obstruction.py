@@ -8,7 +8,10 @@ Casson-Walker when Delta''(1) != 0, and hat-homology rank when knot Floer
 data is on file.  The first stage whose values on the two surgeries differ
 names the invariant and gives the witnesses; when all tie, the L-space
 form of the Alexander polynomial decides.  Negative pairs are decided as
-positive pairs on the mirror knot.
+positive pairs on the mirror knot.  ``sweep`` decides every same-sign pair
+with equal |p| in a slope box through the same stages, one (record, signed
+p) group at a time (_sweep_groups), once per |p| when the record's stages
+do not read the sign; ``dehnsurg sweep`` streams those groups to its CSV.
 """
 
 from __future__ import annotations
@@ -20,9 +23,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import partial
 from importlib import resources
-from itertools import combinations
+from itertools import chain, combinations, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
@@ -247,14 +249,19 @@ class SweepReport:
     nontrivial_inconclusive: int
 
     def csv_lines(self) -> list[str]:
-        """The report as CSV lines without terminators; a field is quoted
-        only when it holds a comma, a quote or a line break, and a missing
-        witness is an empty field."""
+        """The report as CSV lines without terminators (see _csv_writer)."""
         out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(("name", "p", "q1", "q2", "tag", "witness1", "witness2"))
-        writer.writerows(self.rows)
+        _csv_writer(out).writerows(self.rows)
         return out.getvalue().split("\n")[:-1]
+
+
+def _csv_writer(out):
+    """A CSV writer of SweepRows to the text file ``out``, the header line
+    written: a field is quoted only when it holds a comma, a quote or a line
+    break, a missing witness is an empty field, and lines end in newlines."""
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(SweepRow._fields)
+    return writer
 
 
 def _slope_group(p: int, q_max: int):
@@ -264,59 +271,106 @@ def _slope_group(p: int, q_max: int):
     return slopes
 
 
-def sweep(records, p_max: int, q_max: int) -> SweepReport:
-    """Decide every same-sign slope pair with equal |p|, as distinguish does.
+def _sign_free(record: KnotRecord) -> bool:
+    """Whether _stages gives the record's surgeries the same keys and
+    witnesses at both signs: it reads the sign only through lambda * sign
+    and through the Floer data the rank stage ranks, hf or mirror_of(hf)."""
+    hf = record.hf
+    return record.ambient.lambda_value == 0 and (hf is None or mirror_of(hf) == hf)
 
-    Pairs are grouped by the signed surgery coefficient p with 1 <= |p| <=
-    p_max and 0 <= q <= q_max; the infinite slope joins the |p| = 1 groups
-    with q recorded as 0.  Each |p| group's lens part (Casson-Gordon keys
-    and witnesses) is computed on first use and shared by both signs and
-    all records, and Delta''(1) is read once per record.  A group's other
-    stage values are computed once per sign, stages whose keys are all
-    equal (homology always) are dropped, and each pair is decided by its
-    first differing stage.  Rows come out in (p, q1, q2) order per record.
+
+def _decide(record, group, sign, lens, delta2, tie):
+    """The tag, witness1 and witness2 columns of the group's pairs, in
+    combinations order, each pair decided by its first differing stage as
+    in distinguish; the count of pairs on which every stage ties; and the
+    record's all-tie tag, computed at the first such pair if ``tie`` is None."""
+    indices = range(len(group))
+    # Each slope's witnesses are built once, not once per pair; a stage
+    # whose keys are all equal decides no pair.
+    stages = [
+        (tag, keys, list(map(w, indices)))
+        for tag, keys, w in _stages(record, group, sign, lens, delta2)
+        if len(set(keys)) > 1
+    ]
+    columns = ([], [], [])
+    tags, w1s, w2s = columns
+    ties = 0
+    for a, b in combinations(indices, 2):
+        for tag, keys, ws in stages:
+            if keys[a] != keys[b]:
+                w1s.append(ws[a])
+                w2s.append(ws[b])
+                break
+        else:
+            if tie is None:
+                tie = _tie_tag(record)
+            tag = tie
+            w1s.append(None)
+            w2s.append(None)
+            ties += 1
+        tags.append(tag)
+    return columns, ties, tie
+
+
+def _sweep_groups(records, p_max: int, q_max: int):
+    """Yield each (record, signed p) group's rows in sweep's order, each
+    with the count of its rows that are Inconclusive on a nontrivial record.
+
+    A |p| group's slopes and lens part (Casson-Gordon keys and witnesses)
+    are built when first needed and shared by both signs and every record,
+    and Delta''(1) is read once per record.  When the record is sign-free
+    (_sign_free), the decisions made at -p are reused at +p, so only the
+    rows are built twice; otherwise each sign is decided on its own.  At
+    most one record's decisions are held.
     """
     if p_max < 1 or q_max < 1:
         raise ValueError("p_max and q_max must be >= 1")
     if isinstance(records, KnotRecord):
         records = [records]
-    rows = []
-    bad = 0
-    groups = {p: _slope_group(p, q_max) for p in range(1, p_max + 1)}
-    lenses = {}
+    groups = {}  # |p| -> slopes, lens part, q1 and q2 columns of the pairs
     for record in records:
-        name, delta2 = record.name, record.delta2
-        tie, ties = None, 0  # the all-tie outcome, fixed per record, and its row count
-        for p_signed in [p for p in range(-p_max, p_max + 1) if p != 0]:
+        name, delta2, trivial = record.name, record.delta2, record.trivial
+        tie = None  # the all-tie outcome, fixed per record
+        shared = {} if _sign_free(record) else None  # |p| -> decisions
+        for p_signed in chain(range(-p_max, 0), range(1, p_max + 1)):
             # Negative slopes are decided as their positive mirrors.
             p = abs(p_signed)
-            group = groups[p]
-            indices = range(len(group))
-            if p not in lenses:
-                us, cg_witness = _lens(group)
-                lenses[p] = us, list(map(cg_witness, indices)).__getitem__
-            # Each slope's witnesses are built once, not once per row; a
-            # stage whose keys are all equal decides no pair.
-            stages = [
-                (tag, keys, list(map(w, indices)))
-                for tag, keys, w in _stages(record, group, p_signed // p, lenses[p], delta2)
-                if len(set(keys)) > 1
-            ]
-            qs = [s.q for s in group]
-            for a, b in combinations(indices, 2):
-                for tag, keys, ws in stages:
-                    if keys[a] != keys[b]:
-                        rows.append((name, p_signed, qs[a], qs[b], tag, ws[a], ws[b]))
-                        break
-                else:
-                    if tie is None:
-                        tie = _tie_tag(record)
-                    rows.append((name, p_signed, qs[a], qs[b], tie, None, None))
-                    ties += 1
-        if tie == INCONCLUSIVE and not record.trivial:
-            bad += ties
-    # The plain tuples become SweepRows in C, without NamedTuple.__new__.
-    rows = tuple(map(partial(tuple.__new__, SweepRow), rows))
+            if shared is not None and p in shared:
+                columns, ties = shared.pop(p)
+            else:
+                if p not in groups:
+                    group = _slope_group(p, q_max)
+                    us, cg_witness = _lens(group)
+                    pairs = list(combinations([s.q for s in group], 2))
+                    groups[p] = (
+                        group,
+                        (us, list(map(cg_witness, range(len(group)))).__getitem__),
+                        (list(map(itemgetter(0), pairs)), list(map(itemgetter(1), pairs))),
+                    )
+                group, lens, qs = groups[p]
+                decided, ties, tie = _decide(record, group, p_signed // p, lens, delta2, tie)
+                columns = (*qs, *decided)
+                if shared is not None:
+                    shared[p] = columns, ties
+            # The rows become SweepRows in C, without NamedTuple.__new__.
+            rows = list(map(tuple.__new__, repeat(SweepRow), zip(repeat(name), repeat(p_signed), *columns)))
+            yield rows, ties if tie == INCONCLUSIVE and not trivial else 0
+
+
+def sweep(records, p_max: int, q_max: int) -> SweepReport:
+    """Decide every same-sign slope pair with equal |p|, as distinguish does.
+
+    Pairs are grouped by the signed surgery coefficient p with 1 <= |p| <=
+    p_max and 0 <= q <= q_max; the infinite slope joins the |p| = 1 groups
+    with q recorded as 0.  Rows come out in (p, q1, q2) order per record.
+    The report collects _sweep_groups, which says what is computed once
+    and which ``dehnsurg sweep`` streams instead.
+    """
+    rows, bad = [], 0
+    for group, group_bad in _sweep_groups(records, p_max, q_max):
+        rows += group
+        bad += group_bad
+    rows = tuple(rows)
     return SweepReport(rows, dict(Counter(map(itemgetter(4), rows))), bad)
 
 

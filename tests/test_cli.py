@@ -1,13 +1,19 @@
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
 import dehnsurg as ds
-from dehnsurg import cli, knots
+from dehnsurg import cli, knots, obstruction
 from dehnsurg.cli import main
+from test_obstruction import SWEEP_CSV_SHA256
 
 CORPUS = str(ds.bundled_corpus_path())
 
@@ -280,6 +286,27 @@ def test_distinguish_verbose_computes_sigma_once(capsys, clear_caches):
     assert (info.misses, info.hits) == (1, 2)
 
 
+def test_distinguish_verbose_computes_an_undefined_sigma_once(capsys, clear_caches):
+    # Delta(T) = T - 1 + T^-1 vanishes at the primitive 6th roots of unity:
+    # the singular outcome is cached as a value is.
+    clear_caches()
+    code, out, _ = run(
+        capsys,
+        "distinguish",
+        "--knot",
+        CORPUS,
+        "--name",
+        "trefoil_right",
+        "--slopes",
+        "6/1",
+        "6/5",
+        "--verbose",
+    )
+    assert code == 0 and "sigma(K,6)=undefined" in out.splitlines()
+    info = knots._sigma_total_cached.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+
+
 def test_distinguish_negative_slopes(capsys):
     code, out, _ = run(
         capsys,
@@ -456,3 +483,91 @@ def test_sweep_rejects_mistyped_record_fields(tmp_path, capsys, field, value):
     assert code == 1 and out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {corpus}: record 0 (k): "), err
+
+
+@pytest.mark.parametrize("box", sorted(SWEEP_CSV_SHA256))
+def test_sweep_cli_writes_the_pinned_bytes(tmp_path, capsys, box):
+    out = tmp_path / "r.csv"
+    code, _, _ = run(capsys, "sweep", "--knot", CORPUS, "--pmax", str(box), "--qmax", str(box), "--out", str(out))
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_CSV_SHA256[box]
+
+
+def test_sweep_cli_agrees_with_the_library(tmp_path, capsys):
+    # The CLI streams the rows that sweep() collects; its counts, exit code
+    # and bytes must be the report's.  Past the corpus: a nontrivial record
+    # with Delta = 1, whose all-tie rows are Inconclusive, and a record in an
+    # ambient manifold with lambda = 2, decided at each sign on its own.
+    raw = json.loads(Path(CORPUS).read_text())
+    trefoil = next(r for r in raw if r["name"] == "trefoil_right")
+    raw += [
+        {"name": "alexander_one", "alexander": {"a0": 1}},
+        {**trefoil, "name": "in_poincare", "ambient": "Sigma(2,3,5)", "lambda_ambient": 2},
+    ]
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps(raw))
+    out = tmp_path / "r.csv"
+    code, stdout, err = run(capsys, "sweep", "--knot", str(corpus), "--pmax", "10", "--qmax", "10", "--out", str(out))
+    report = ds.sweep(ds.load_knots(corpus), 10, 10)
+    assert report.nontrivial_inconclusive > 0 and code == 1
+    assert stdout.splitlines() == [f"rows={len(report.rows)}"] + [
+        f"{tag}={report.counts[tag]}" for tag in sorted(report.counts)
+    ]
+    assert err == f"inconclusive on nontrivial records: {report.nontrivial_inconclusive}\n"
+    assert out.read_text() == "\n".join(report.csv_lines()) + "\n"
+    witnesses = {(row.p, row.q1, row.q2): row.witness1 for row in report.rows if row.name == "in_poincare"}
+    assert any(witnesses[-p, q1, q2] != w for (p, q1, q2), w in witnesses.items() if p > 0)
+
+
+@pytest.mark.parametrize("old", [None, b"an older report\n"])
+def test_sweep_error_leaves_out_as_it_was(tmp_path, capsys, monkeypatch, old):
+    stages = obstruction._stages
+    calls = []
+
+    def stages_failing_at_the_third_group(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise ArithmeticError("injected failure")
+        return stages(*args)
+
+    monkeypatch.setattr(obstruction, "_stages", stages_failing_at_the_third_group)
+    out = tmp_path / "r.csv"
+    if old is not None:
+        out.write_bytes(old)
+    code, stdout, err = run(capsys, "sweep", "--knot", CORPUS, "--pmax", "5", "--qmax", "5", "--out", str(out))
+    assert len(calls) == 3
+    assert code == 1 and stdout == "" and err == "error: injected failure\n"
+    if old is None:
+        assert not out.exists()
+    else:
+        assert out.read_bytes() == old
+    # No partial file is left beside --out either.
+    assert os.listdir(tmp_path) == ([] if old is None else ["r.csv"])
+
+
+def test_sweep_memory_does_not_grow_with_the_box(tmp_path):
+    # At (60, 60) the parent design held 820,530 rows and peaked near 274 MB;
+    # streamed, the peak is that of a small interpreter.  The wrapper reads
+    # the peak RSS of its one child, in kilobytes on Linux and bytes on macOS.
+    out = tmp_path / "r.csv"
+    wrapper = (
+        "import resource, subprocess, sys\n"
+        "code = subprocess.call(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
+        "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+    )
+    argv = ["-m", "dehnsurg.cli", "sweep", "--knot", CORPUS, "--pmax", "60", "--qmax", "60", "--out", str(out)]
+    src = str(Path(ds.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", wrapper, sys.executable, *argv],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    code, maxrss = map(int, done.stdout.split())
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "8c1bd1aa05e618bc8bbbfaa217bbbf5b2b9d9ac1cd29d5438cb05c3e1bb6962c"
+    )
+    peak_mb = maxrss / (2**20 if sys.platform == "darwin" else 2**10)
+    assert peak_mb < 64, f"peak RSS {peak_mb:.1f} MB"
