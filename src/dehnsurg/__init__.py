@@ -9,6 +9,7 @@ oracle, and a decision procedure reporting which invariant distinguishes
 two surgeries on a knot.
 """
 
+from ._value import replace
 from .dedekind import (
     LensSpace,
     Rational,
@@ -117,6 +118,7 @@ __all__ = [
     "nu_of",
     "parse_lspace_form",
     "rank_formula",
+    "replace",
     "sawtooth",
     "sigma_total",
     "sweep",

@@ -9,8 +9,9 @@ steps by the Euclid descent that the reciprocity law allows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+
+from ._value import Value
 
 Rational = Fraction
 
@@ -69,18 +70,17 @@ def dedekind_sum(q: int, p: int) -> Fraction:
     return Fraction(*dedekind_numerator(q, p))
 
 
-@dataclass(frozen=True)
-class LensSpace:
+class LensSpace(Value):
     """The lens space L(p,q), the p/q surgery on the unknot; gcd(p,q) = 1."""
 
-    p: int
-    q: int
+    _fields = ("p", "q")
 
-    def __post_init__(self):
-        if self.p == 0:
+    def __init__(self, p: int, q: int):
+        self._set_fields(p, q)
+        if p == 0:
             raise ValueError("lens space needs p != 0")
-        if math.gcd(self.p, self.q) != 1:
-            raise ValueError(f"L({self.p},{self.q}): p and q must be coprime")
+        if math.gcd(p, q) != 1:
+            raise ValueError(f"L({p},{q}): p and q must be coprime")
 
     def normalized(self) -> tuple[int, int]:
         """Return (|p|, q mod |p|), identifying L(p,q) with L(-p,-q)."""

@@ -30,8 +30,8 @@ rows, by counting a spanning forest with union-find.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 
+from ._value import Value
 from .surgery import Slope
 
 __all__ = [
@@ -47,8 +47,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class KnotFloerData:
+class KnotFloerData(Value):
     """Homology-level knot Floer data.
 
     ranks[g + s] is the rank of H(hat-A_s) for -g <= s <= g (symmetric,
@@ -57,9 +56,7 @@ class KnotFloerData:
     symmetry h_nonzero(s) = v_nonzero(-s).
     """
 
-    g: int
-    ranks: tuple[int, ...]
-    v_threshold: int
+    _fields = ("g", "ranks", "v_threshold")
 
     def __init__(self, g: int, ranks, v_threshold: int):
         try:
@@ -143,19 +140,17 @@ def _gf2_rank(vectors) -> int:
     return len(pivots)
 
 
-@dataclass(frozen=True)
-class ConeMatrix:
+class ConeMatrix(Value):
     """Truncated mapping-cone differential for one Spin^c class, over GF(2).
 
     Columns follow the A-part (one bitmask column per A-index carrying the
     maps, plus zero columns for rank above one), rows the B-part.
     """
 
-    spinc: int
-    a_indices: tuple[int, ...]
-    a_dims: tuple[int, ...]
-    b_indices: tuple[int, ...]
-    columns: tuple[int, ...]
+    _fields = ("spinc", "a_indices", "a_dims", "b_indices", "columns")
+
+    def __init__(self, spinc: int, a_indices, a_dims, b_indices, columns):
+        self._set_fields(spinc, a_indices, a_dims, b_indices, columns)
 
     @property
     def n_rows(self) -> int:

@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+
+from ._value import Value
 
 __all__ = [
     "SeifertMatrix",
@@ -181,8 +182,7 @@ def _cayley(c: list) -> list:
     return c
 
 
-@dataclass(frozen=True)
-class SeifertMatrix:
+class SeifertMatrix(Value):
     """Square integer matrix presenting a knot; the 0x0 matrix is the unknot.
 
     Validity requires integer entries, even size and det(A - A^T) = +-1
@@ -192,8 +192,8 @@ class SeifertMatrix:
     alexander_from_seifert), so validation costs no elimination of its own.
     """
 
-    entries: tuple[tuple[int, ...], ...]
-    alexander: SymLaurentPoly = field(compare=False, repr=False)
+    _fields = ("entries",)  # alexander is derived: not compared, not shown
+    alexander: SymLaurentPoly
 
     def __init__(self, entries):
         try:
@@ -207,6 +207,15 @@ class SeifertMatrix:
         if n % 2 != 0:
             raise ValueError("Seifert matrix must have even size")
         object.__setattr__(self, "alexander", alexander_from_seifert(self))
+
+    # Value's generic methods, written out: four caches are keyed on matrices.
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.entries == other.entries
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.entries)
 
     @property
     def size(self) -> int:
@@ -226,16 +235,14 @@ class SeifertMatrix:
         return mirrored
 
 
-@dataclass(frozen=True)
-class SymLaurentPoly:
+class SymLaurentPoly(Value):
     """Symmetric normalized Laurent polynomial a0 + sum a_j (T^j + T^-j).
 
     Invariants: value 1 at T = 1, and the top coefficient is nonzero unless
     the polynomial is constant.
     """
 
-    a0: int
-    higher: tuple[int, ...] = ()
+    _fields = ("a0", "higher")
 
     def __init__(self, a0, higher=()):
         try:
@@ -296,11 +303,10 @@ class SymLaurentPoly:
         return " ".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
-class LSpaceForm:
+class LSpaceForm(Value):
     """Strictly increasing positive exponents n_1 < ... < n_k; empty means 1."""
 
-    exponents: tuple[int, ...] = ()
+    _fields = ("exponents",)
 
     def __init__(self, exponents=()):
         try:

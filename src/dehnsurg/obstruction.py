@@ -21,14 +21,13 @@ import io
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from importlib import resources
 from itertools import chain, combinations, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
+from ._value import Value, replace
 from .dedekind import dedekind_numerator
 from .hfcone import KnotFloerData, cone_rank_oracle, mirror_of, nu_of, rank_formula
 from .knots import (
@@ -72,22 +71,21 @@ INCONCLUSIVE = "Inconclusive"
 _STAGES = (DIFFERENT_HOMOLOGY, BY_CASSON_GORDON, BY_CASSON_WALKER, BY_HF_RANK)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Value):
     """Outcome of the obstruction: the distinguishing invariant, with the
     two witnessing values, or a cosmetic/inconclusive signal."""
 
-    tag: str
-    value1: object = None
-    value2: object = None
+    _fields = ("tag", "value1", "value2")
 
-    def __post_init__(self):
-        if self.tag in _STAGES and self.value1 == self.value2:
-            raise ValueError(f"verdict {self.tag} needs two distinct witnesses")
+    def __init__(self, tag: str, value1: object = None, value2: object = None):
+        object.__setattr__(self, "tag", tag)
+        object.__setattr__(self, "value1", value1)
+        object.__setattr__(self, "value2", value2)
+        if tag in _STAGES and value1 == value2:
+            raise ValueError(f"verdict {tag} needs two distinct witnesses")
 
 
-@dataclass(frozen=True)
-class KnotRecord:
+class KnotRecord(Value):
     """A knot with whatever invariant inputs are on file for it.
 
     The Alexander polynomial is always populated (derived from the Seifert
@@ -95,14 +93,27 @@ class KnotRecord:
     optional, as are the tau/nu annotations used for cross-checks.
     """
 
-    name: str
-    alexander: SymLaurentPoly
-    seifert: SeifertMatrix | None = None
-    hf: KnotFloerData | None = None
-    ambient: AmbientData = AmbientData()
-    tau: int | None = None
-    nu: int | None = None
-    trivial: bool = False
+    _fields = ("name", "alexander", "seifert", "hf", "ambient", "tau", "nu", "trivial")
+
+    def __init__(
+        self,
+        name: str,
+        alexander: SymLaurentPoly,
+        seifert: SeifertMatrix | None = None,
+        hf: KnotFloerData | None = None,
+        ambient: AmbientData = AmbientData(),
+        tau: int | None = None,
+        nu: int | None = None,
+        trivial: bool = False,
+    ):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "alexander", alexander)
+        object.__setattr__(self, "seifert", seifert)
+        object.__setattr__(self, "hf", hf)
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "tau", tau)
+        object.__setattr__(self, "nu", nu)
+        object.__setattr__(self, "trivial", trivial)
 
     @property
     def delta2(self) -> int:
@@ -242,11 +253,11 @@ class SweepRow(NamedTuple):
     witness2: object
 
 
-@dataclass(frozen=True)
-class SweepReport:
-    rows: tuple[SweepRow, ...]
-    counts: dict
-    nontrivial_inconclusive: int
+class SweepReport(Value):
+    _fields = ("rows", "counts", "nontrivial_inconclusive")
+
+    def __init__(self, rows: tuple[SweepRow, ...], counts: dict, nontrivial_inconclusive: int):
+        self._set_fields(rows, counts, nontrivial_inconclusive)
 
     def csv_lines(self) -> list[str]:
         """The report as CSV lines without terminators (see _csv_writer)."""
@@ -380,7 +391,7 @@ def sweep(records, p_max: int, q_max: int) -> SweepReport:
 
 def bundled_corpus_path() -> Path:
     """Path of the knot corpus shipped with the package."""
-    return Path(resources.files("dehnsurg").joinpath("data", "knots.json"))
+    return Path(__file__).parent / "data" / "knots.json"
 
 
 def _is_int(value) -> bool:

@@ -11,9 +11,9 @@ lens-space value s(q,p); the test suite executes that calibration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
+from ._value import Value
 from .dedekind import dedekind_sum
 
 __all__ = [
@@ -28,20 +28,29 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Slope:
+class Slope(Value):
     """Reduced surgery slope p/q with q >= 0; (1, 0) encodes infinity."""
 
-    p: int
-    q: int
+    _fields = ("p", "q")
 
-    def __post_init__(self):
-        if self.q < 0:
+    def __init__(self, p: int, q: int):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        if q < 0:
             raise ValueError("slope must be stored with q >= 0 (negate p instead)")
-        if math.gcd(self.p, self.q) != 1:
-            raise ValueError(f"slope {self.p}/{self.q} is not reduced")
-        if self.q == 0 and self.p != 1:
+        if math.gcd(p, q) != 1:
+            raise ValueError(f"slope {p}/{q} is not reduced")
+        if q == 0 and p != 1:
             raise ValueError("the infinite slope is encoded as 1/0")
+
+    # Value's generic methods, written out: every distinguish compares two slopes.
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.p == other.p and self.q == other.q
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.p, self.q))
 
     @classmethod
     def of(cls, p: int, q: int) -> "Slope":
@@ -77,13 +86,14 @@ class Slope:
         return f"{self.p}/{self.q}"
 
 
-@dataclass(frozen=True)
-class PeripheralClass:
+class PeripheralClass(Value):
     """Class a = mu_coeff * x + lambda_coeff * y on the peripheral torus,
     in a fixed basis x, y with <x, y> = 1."""
 
-    mu_coeff: int
-    lambda_coeff: int
+    _fields = ("mu_coeff", "lambda_coeff")
+
+    def __init__(self, mu_coeff: int, lambda_coeff: int):
+        self._set_fields(mu_coeff, lambda_coeff)
 
     def is_primitive(self) -> bool:
         return math.gcd(self.mu_coeff, self.lambda_coeff) == 1
@@ -94,26 +104,28 @@ def pairing(a: PeripheralClass, b: PeripheralClass) -> int:
     return a.mu_coeff * b.lambda_coeff - a.lambda_coeff * b.mu_coeff
 
 
-@dataclass(frozen=True)
-class LongitudeData:
+class LongitudeData(Value):
     """Longitude l = d * y; d = 1 for null-homologous knots."""
 
-    d: int = 1
+    _fields = ("d",)
 
-    def __post_init__(self):
-        if self.d < 1:
+    def __init__(self, d: int = 1):
+        self._set_fields(d)
+        if d < 1:
             raise ValueError("longitude multiple d must be >= 1")
 
     def as_class(self) -> PeripheralClass:
         return PeripheralClass(0, self.d)
 
 
-@dataclass(frozen=True)
-class AmbientData:
+class AmbientData(Value):
     """Casson-Walker invariant of the ambient manifold, supplied as data."""
 
-    lambda_value: Fraction = field(default_factory=lambda: Fraction(0))
-    name: str = "S3"
+    _fields = ("lambda_value", "name")
+
+    def __init__(self, lambda_value: Fraction = Fraction(0), name: str = "S3"):
+        object.__setattr__(self, "lambda_value", lambda_value)
+        object.__setattr__(self, "name", name)
 
     def negated(self) -> "AmbientData":
         return AmbientData(-self.lambda_value, f"-{self.name}")

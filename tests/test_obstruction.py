@@ -4,7 +4,7 @@ import json
 import math
 import random
 from collections import Counter
-from dataclasses import replace
+from dehnsurg import replace
 from fractions import Fraction
 from functools import partial
 
