@@ -4,9 +4,9 @@ obstruction.
 Dedekind sums and lens-space invariants, Alexander polynomials and exact
 Tristram-Levine signatures from Seifert matrices, Casson-Walker and total
 Casson-Gordon invariants of surgered manifolds, a homology-level model of
-the hat-flavor rational surgery mapping cone with a brute-force rank
-oracle, and a decision procedure reporting which invariant distinguishes
-two surgeries on a knot.
+the hat-flavor rational surgery mapping cone with a rank oracle that
+checks the closed-form rank formula, and a decision procedure reporting
+which invariant distinguishes two surgeries on a knot.
 """
 
 from ._value import replace

@@ -86,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = new_command("hf-rank", "hat-homology rank of the surgered manifold")
     knot_args(p, slope=True)
     mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--oracle", action="store_true", help="brute-force cone rank only")
+    mode.add_argument("--oracle", action="store_true", help="mapping-cone rank only")
     mode.add_argument("--formula", action="store_true", help="closed formula only")
     mode.add_argument("--both", action="store_true", help="both, and insist they agree")
 

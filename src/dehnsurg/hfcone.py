@@ -23,8 +23,14 @@ build_cone assembles one Spin^c class as GF(2) bitmask columns; the tests
 rank it by elimination as the oracle's oracle.  cone_rank_oracle never
 builds it: only the min(|p|, (2g+1)q) classes holding some t with
 |floor(t/q)| <= g can have rank other than one, and each of those is
-ranked as a graph, every column having at most two nonzeros in adjacent
-rows, by counting a spanning forest with union-find.
+ranked in one scan of its columns, each of which has at most two
+nonzeros, in adjacent rows.
+
+The model keeps h_nonzero(s) = v_nonzero(-s), so it cannot tell a knot's
+Floer data from its mirror's, and mirror_of is the identity.  Surgery at
+p/q < 0 on K and at -p/q on K's mirror have the same hat rank, but both
+are ranked on K's data, and the two cones can disagree when K's Floer
+data differs from its mirror's.
 """
 
 from __future__ import annotations
@@ -103,27 +109,18 @@ class KnotFloerData(Value):
 
 def nu_of(data: KnotFloerData) -> int:
     """Least s at which the induced v-map is nonzero."""
-    s = -data.g
-    while not data.v_nonzero(s):
-        s += 1
-    return s
+    return data.v_threshold
 
 
 def mirror_of(data: KnotFloerData) -> KnotFloerData:
-    """Formal mirror: swap the v/h roles and reflect indices.
+    """The model's mirror: the input itself.
 
-    With the flip symmetry h_nonzero(s) = v_nonzero(-s) built into the
-    model this is an involution fixing every valid instance; it is kept as
-    an explicit operation so callers can normalize uniformly.
+    A mirror swaps the v- and h-maps and reflects s, so its ranks are the
+    reversed ranks and its v-map is nonzero at s iff h is at -s, that is
+    iff s >= v_threshold.  The ranks are symmetric, so nothing changes.
+    It stays a named step so that the callers that mirror remain visible.
     """
-    ranks = data.ranks[::-1]
-    # v'(s) = h(-s): nonzero iff -s <= -threshold iff s >= threshold.
-    s = -data.g
-    while not data.h_nonzero(-s):
-        s += 1
-        if s > data.g:
-            raise ArithmeticError("mirror has no nonzero v-map below g")
-    return KnotFloerData(data.g, ranks, s)
+    return data
 
 
 def _gf2_rank(vectors) -> int:
@@ -168,6 +165,19 @@ class ConeMatrix(Value):
         return (self.n_cols - r) + (self.n_rows - r)
 
 
+def _window(data: KnotFloerData, slope: Slope, extra_window: int):
+    """p, q, |p| and the A-range [a_lo, a_hi] of the truncated cone: the t
+    with |floor(t/q)| <= W, W = g + ceil(|p|/q) + 1 + extra_window."""
+    p, q = slope.p, slope.q
+    if q < 1:
+        raise ValueError("the cone is only assembled for slopes with q >= 1")
+    if p == 0:
+        raise ValueError("p must be nonzero")
+    pp = abs(p)
+    w = data.g + -(-pp // q) + 1 + extra_window
+    return p, q, pp, -w * q, (w + 1) * q - 1
+
+
 def build_cone(data: KnotFloerData, slope: Slope, spinc: int, extra_window: int = 0) -> ConeMatrix:
     """Assemble the truncated cone differential for one Spin^c class.
 
@@ -186,16 +196,9 @@ def build_cone(data: KnotFloerData, slope: Slope, spinc: int, extra_window: int 
     by the number of new columns and the homology rank is unchanged: the
     tails cancel.  The + 1 is a margin.
     """
-    p, q = slope.p, slope.q
-    if q < 1:
-        raise ValueError("the cone is only assembled for slopes with q >= 1")
-    if p == 0:
-        raise ValueError("p must be nonzero")
-    pp = abs(p)
+    p, q, pp, a_lo, a_hi = _window(data, slope, extra_window)
     if not 0 <= spinc < pp:
         raise ValueError(f"Spin^c index must lie in [0, {pp})")
-    w = data.g + -(-pp // q) + 1 + extra_window
-    a_lo, a_hi = -w * q, (w + 1) * q - 1
     a_indices = range(a_lo + (spinc - a_lo) % pp, a_hi + 1, pp)
     # Both index sets step by |p| and the B-part starts at a_indices[0] + p,
     # so column i, for t = a_indices[i], has its h-target B_{t+p} in row i
@@ -255,58 +258,46 @@ def cone_rank_oracle(data: KnotFloerData, slope: Slope, verify_stability: bool =
 def _cone_rank(data: KnotFloerData, slope: Slope, extra_window: int) -> int:
     """The sum over Spin^c classes of
     build_cone(data, slope, spinc, extra_window).homology_rank(), without
-    the matrices: one for each class off [-gq, (g+1)q), plus the rank of
-    the graph below for the others.
+    the matrices: one for each class off [-gq, (g+1)q), and for the others
+    n_cols + n_rows - 2 rank, the rank counted in one scan.
 
     Column i of a class (the first basis vector of A_t, t its i-th
     A-index) has its h-target in row i and its v-target in row
-    i - sign(p), as in build_cone.  The rest of A_t is a_rank(s) - 1 zero
-    columns; the classes ranked hold all q indices t of each s in [-g, g],
-    so these add up to q times the excess.  A column with two
-    nonzeros is an edge between its two rows, one with a single nonzero an
-    edge from its row to a ground vertex, so the matrix is the incidence
-    matrix of that graph with the ground row deleted, and its GF(2) rank is
-    the size of a spanning forest: the number of merges union-find makes.
-    The homology rank is n_cols + n_rows - 2 rank.  The classes share the
-    ground vertex and nothing else, so one forest ranks them all.
+    i - sign(p), as in build_cone; the rest of A_t is a_rank(s) - 1 zero
+    columns, q times the excess in all.  So column i can only link the
+    row it shares with column i - 1 (the near row: v for p > 0, h for
+    p < 0) to the one it shares with column i + 1 (the far row).  No
+    nonzero falls outside the B-part: s < -g at the first column, whose
+    v-map is zero, and s > g at the last, whose h-map is.  The columns
+    with two nonzeros link distinct pairs of adjacent rows, so they cut
+    the rows into runs, are independent, and add one each to the rank.
+    Modulo them the rows of a run are equal, so the columns with one
+    nonzero add one for each run they hit.  The scan keeps whether the
+    current run is hit (grounded) and closes it at each column that does
+    not link on, whose far row starts the next run.
     """
-    p, q = slope.p, slope.q
-    if q < 1:
-        raise ValueError("the cone is only assembled for slopes with q >= 1")
-    if p == 0:
-        raise ValueError("p must be nonzero")
-    pp = abs(p)
+    p, q, pp, a_lo, a_hi = _window(data, slope, extra_window)
     g, threshold = data.g, data.v_threshold
-    w = g + -(-pp // q) + 1 + extra_window
-    a_lo, a_hi = -w * q, (w + 1) * q - 1
     width = min(pp, (2 * g + 1) * q)
-    v_row = -1 if p > 0 else 1
-    parent = [0]  # vertex 0 is the ground
+    sign = 1 if p > 0 else -1
     n_cols = q * data.excess()
-    n_rows = merges = 0
+    n_rows = rank = 0
     for first in range(-g * q, -g * q + width):  # one t of each class ranked
         t = a_lo + (first - a_lo) % pp
         n_a = (a_hi - t) // pp + 1
-        rows = n_a - 1 if p > 0 else n_a + 1  # the B-part starts at the first A-index + p
-        base = len(parent)  # row r of this class is vertex base + r
-        parent.extend(range(base, base + rows))
         n_cols += n_a
-        n_rows += rows
-        for i in range(n_a):
-            s = t // q
-            t += pp
-            v = base + i + v_row if s >= threshold and 0 <= i + v_row < rows else 0
-            h = base + i if s <= -threshold and i < rows else 0
-            if v == h:  # no nonzero inside the window
-                continue
-            while parent[v] != v:
-                parent[v] = v = parent[parent[v]]
-            while parent[h] != h:
-                parent[h] = h = parent[parent[h]]
-            if v != h:
-                parent[v] = h
-                merges += 1
-    return pp - width + n_cols + n_rows - 2 * merges
+        n_rows += n_a - sign  # the B-part starts at the first A-index + p
+        grounded = False
+        for t in range(t, a_hi + 1, pp):
+            s = sign * (t // q)  # near: v_nonzero for p > 0, h_nonzero for p < 0
+            near, far = s >= threshold, -s >= threshold
+            if near and far:
+                rank += 1
+            else:
+                rank += grounded or near
+                grounded = far
+        rank += grounded
+    return pp - width + n_cols + n_rows - 2 * rank
 
 
 def rank_formula(data: KnotFloerData, slope: Slope) -> int:
@@ -315,18 +306,15 @@ def rank_formula(data: KnotFloerData, slope: Slope) -> int:
     For nu >= 1 (any sign of p):  p + 2*max(0, (2*nu - 1)q - p) + q*excess.
     For nu <= 0:                  |p| + q*excess.
 
-    The mirror-normalization hypothesis (nu at least the mirror's nu) is
-    automatic here because the flip symmetry makes the formal mirror fix
-    every valid instance.
+    The formula assumes nu at least the mirror's nu, which the model
+    cannot violate: mirror_of is the identity (see the module docstring).
     """
     p, q = slope.p, slope.q
     if q < 1:
         raise ValueError("rank formula requires q >= 1")
     if p == 0:
         raise ValueError("p must be nonzero")
-    nu = nu_of(data)
-    if nu != nu_of(mirror_of(data)):
-        raise ValueError("unnormalized input: apply mirror_of and negate p first")
+    nu = data.v_threshold
     excess = data.excess()
     if nu >= 1:
         return p + 2 * max(0, (2 * nu - 1) * q - p) + q * excess
@@ -344,14 +332,9 @@ def delta_dimension(data: KnotFloerData) -> int:
     """Dimension of the joint image of the two induced maps at s = 0.
 
     Only defined when both thresholds sit at zero (nu of the data and of
-    its mirror both vanish).  The model realizes each nonzero map as
-    (1, 0, ..., 0), so the joint image is computed from those two rows.
+    its mirror both vanish).  Then both maps are nonzero at s = 0, and the
+    model realizes each as (1, 0, ..., 0), so the joint image is a line.
     """
-    if nu_of(data) != 0 or nu_of(mirror_of(data)) != 0:
+    if data.v_threshold != 0:
         raise ValueError("delta dimension needs nu = 0 for the data and its mirror")
-    rows = []
-    if data.v_nonzero(0):
-        rows.append(1)  # (1, 0, ..., 0) as a bitmask over the a_0 source
-    if data.h_nonzero(0):
-        rows.append(1)
-    return _gf2_rank(rows)
+    return 1

@@ -20,12 +20,11 @@ import csv
 import io
 import json
 import math
-from collections import Counter
+from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import chain, combinations, repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import NamedTuple
 
 from ._value import Value, replace
 from .dedekind import dedekind_numerator
@@ -243,14 +242,7 @@ def full_invariants(record: KnotRecord, slope: Slope):
     return lam, tau, rank
 
 
-class SweepRow(NamedTuple):
-    name: str
-    p: int
-    q1: int
-    q2: int
-    tag: str
-    witness1: object
-    witness2: object
+SweepRow = namedtuple("SweepRow", "name p q1 q2 tag witness1 witness2")
 
 
 class SweepReport(Value):
@@ -363,7 +355,7 @@ def _sweep_groups(records, p_max: int, q_max: int):
                 columns = (*qs, *decided)
                 if shared is not None:
                     shared[p] = columns, ties
-            # The rows become SweepRows in C, without NamedTuple.__new__.
+            # The rows become SweepRows in C, without the Python-level SweepRow.__new__.
             rows = list(map(tuple.__new__, repeat(SweepRow), zip(repeat(name), repeat(p_signed), *columns)))
             yield rows, ties if tie == INCONCLUSIVE and not trivial else 0
 

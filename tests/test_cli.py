@@ -571,3 +571,27 @@ def test_sweep_memory_does_not_grow_with_the_box(tmp_path):
     )
     peak_mb = maxrss / (2**20 if sys.platform == "darwin" else 2**10)
     assert peak_mb < 64, f"peak RSS {peak_mb:.1f} MB"
+
+
+def test_cone_oracle_memory_does_not_grow_with_q():
+    # At 1/300007 the one class ranked has 2.1 million columns, so anything
+    # kept per row or column would take over 100 MB; the scan keeps one flag.
+    # The peak is read as in test_sweep_memory_does_not_grow_with_the_box.
+    wrapper = (
+        "import resource, subprocess, sys\n"
+        "out = subprocess.run(sys.argv[1:], capture_output=True, text=True).stdout\n"
+        "print(out.strip(), resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+    )
+    argv = ["-m", "dehnsurg.cli", "hf-rank", "--knot", CORPUS, "--name", "figure_eight", "--slope", "1/300007"]
+    src = str(Path(ds.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", wrapper, sys.executable, *argv],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    out, maxrss = done.stdout.rsplit(maxsplit=1)
+    assert out == "oracle=600015 formula=600015"
+    peak_mb = int(maxrss) / (2**20 if sys.platform == "darwin" else 2**10)
+    assert peak_mb < 32, f"peak RSS {peak_mb:.1f} MB"

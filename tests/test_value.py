@@ -207,3 +207,12 @@ def test_cold_import_loads_no_dataclasses_inspect_or_field_oracle():
         check=True,
     )
     assert done.stdout.split() == []
+
+
+def test_cold_import_without_site_loads_no_typing():
+    # Under -S nothing is preloaded, so every module import dehnsurg needs
+    # is counted; SweepRow is a collections.namedtuple, not typing's.
+    src = str(Path(ds.__file__).resolve().parent.parent)
+    code = f"import sys\nsys.path.insert(0, {src!r})\nimport dehnsurg\nprint('typing' in sys.modules)\n"
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["False"]
