@@ -6,12 +6,13 @@ lens-space part of the total Casson-Gordon invariant (the knot signature
 term cancels for equal p, so no signatures are computed here),
 Casson-Walker when Delta''(1) != 0, and hat-homology rank when knot Floer
 data is on file.  The first stage whose values on the two surgeries differ
-names the invariant and gives the witnesses; when all tie, the L-space
-form of the Alexander polynomial decides.  Negative pairs are decided as
-positive pairs on the mirror knot.  ``sweep`` decides every same-sign pair
-with equal |p| in a slope box through the same stages, one (record, signed
-p) group at a time (_sweep_groups), once per |p| when the record's stages
-do not read the sign; ``dehnsurg sweep`` streams those groups to its CSV.
+names the invariant and gives the witnesses; when all tie, the record's
+``trivial`` mark decides, with Delta = 1 (_tie_tag).  Negative pairs are
+decided as positive pairs on the mirror knot.  ``sweep`` decides every
+same-sign pair with equal |p| in a slope box through the same stages, one
+(record, signed p) group at a time (_sweep_groups), once per |p| when the
+record's stages do not read the sign; ``dehnsurg sweep`` streams those
+groups to its CSV.
 """
 
 from __future__ import annotations
@@ -29,15 +30,7 @@ from pathlib import Path
 from ._value import Value, replace
 from .dedekind import dedekind_numerator
 from .hfcone import KnotFloerData, cone_rank_oracle, mirror_of, nu_of, rank_formula
-from .knots import (
-    NotLSpaceFormError,
-    SeifertMatrix,
-    SingularValueError,
-    SymLaurentPoly,
-    delta2_at_one,
-    parse_lspace_form,
-    sigma_total,
-)
+from .knots import SeifertMatrix, SingularValueError, SymLaurentPoly, delta2_at_one, sigma_total
 from .surgery import AmbientData, Slope, casson_gordon_surgered, casson_walker_surgered
 
 __all__ = [
@@ -93,6 +86,7 @@ class KnotRecord(Value):
     """
 
     _fields = ("name", "alexander", "seifert", "hf", "ambient", "tau", "nu", "trivial")
+    delta2: int  # Delta''(1), derived: not compared, not shown
 
     def __init__(
         self,
@@ -113,10 +107,7 @@ class KnotRecord(Value):
         object.__setattr__(self, "tau", tau)
         object.__setattr__(self, "nu", nu)
         object.__setattr__(self, "trivial", trivial)
-
-    @property
-    def delta2(self) -> int:
-        return delta2_at_one(self.alexander)
+        object.__setattr__(self, "delta2", delta2_at_one(alexander))
 
 
 def mirror_record(record: KnotRecord) -> KnotRecord:
@@ -152,7 +143,19 @@ def _lens(slopes):
     return us, lambda i: Fraction(-us[i], 3)
 
 
-def _stages(record: KnotRecord, slopes, sign: int, lens=None, delta2=None):
+def _signed_inputs(record: KnotRecord, sign: int):
+    """What _stages reads through the sign: lambda * sign, and the Floer
+    data the rank stage ranks, hf or mirror_of(hf), or None where that
+    stage does not run."""
+    lam, hf = record.ambient.lambda_value, record.hf if record.delta2 == 0 else None
+    if sign < 0:
+        lam = -lam
+        if hf is not None:
+            hf = mirror_of(hf)
+    return lam, hf
+
+
+def _stages(record: KnotRecord, slopes, sign: int, lens=None):
     """Each stage's tag, integer keys on the given surgeries and a function
     from a surgery's index to its witness, computed when reached.  Keys tie
     exactly when the stage's values do.  The slopes have positive p, on the
@@ -163,41 +166,39 @@ def _stages(record: KnotRecord, slopes, sign: int, lens=None, delta2=None):
     Casson-Walker values lambda + (U - 12 q Delta''(1))/(12p) differ exactly
     when Delta''(1) != 0, so that stage runs only then, and the rank stage,
     which it would always pre-empt, only otherwise.  A caller holding the
-    slopes' ``_lens`` or the record's Delta''(1) passes them in.
+    slopes' ``_lens`` passes it in.
     """
     ps = [s.p for s in slopes]
     yield DIFFERENT_HOMOLOGY, ps, ps.__getitem__
     us, cg_witness = lens or _lens(slopes)
     yield BY_CASSON_GORDON, us, cg_witness
-    delta2 = record.delta2 if delta2 is None else delta2
+    delta2 = record.delta2
+    lam, hf = _signed_inputs(record, sign)
     if delta2 != 0:
         keys = [u - 12 * s.q * delta2 for u, s in zip(us, slopes)]
         # lambda + key/(12p), built as one fraction.
-        lam = Fraction(record.ambient.lambda_value * sign)
-        n, d = lam.numerator, lam.denominator
+        n, d = lam.as_integer_ratio()
         yield BY_CASSON_WALKER, keys, lambda i: Fraction(
             12 * ps[i] * n + keys[i] * d, 12 * ps[i] * d
         )
-    elif record.hf is not None:
+    elif hf is not None:
         # Infinite surgery returns the ambient integral homology L-space,
         # whose hat homology has rank 1.
-        hf = record.hf if sign > 0 else mirror_of(record.hf)
         ranks = [1 if s.is_infinite else rank_formula(hf, s) for s in slopes]
         yield BY_HF_RANK, ranks, ranks.__getitem__
 
 
 def _tie_tag(record: KnotRecord) -> str:
     """The tag when every stage ties: UnknotCosmetic only for a record
-    marked trivial whose Alexander polynomial is 1, else Inconclusive."""
-    try:
-        form = parse_lspace_form(record.alexander)
-    except NotLSpaceFormError:
-        return INCONCLUSIVE
-    if form.exponents:
-        raise ArithmeticError(
-            "alternating Alexander form with nonzero top term cannot reach this step"
-        )
-    return UNKNOT_COSMETIC if record.trivial else INCONCLUSIVE
+    marked trivial whose Alexander polynomial is 1, else Inconclusive.
+
+    No other Delta reaches a tie that the L-space form could decide: an
+    alternating form with exponents n_1 < ... < n_k has Delta''(1) =
+    2 sum_j (-1)^(k-j) n_j^2 > 0, so the Casson-Walker keys U - 12 q
+    Delta''(1) separate every pair the Casson-Gordon stage ties (acceptance
+    criterion 9).
+    """
+    return UNKNOT_COSMETIC if record.trivial and not record.alexander.degree else INCONCLUSIVE
 
 
 def distinguish(record: KnotRecord, s1: Slope, s2: Slope) -> Verdict:
@@ -276,28 +277,25 @@ def _slope_group(p: int, q_max: int):
 
 def _sign_free(record: KnotRecord) -> bool:
     """Whether _stages gives the record's surgeries the same keys and
-    witnesses at both signs: it reads the sign only through lambda * sign
-    and through the Floer data the rank stage ranks, hf or mirror_of(hf)."""
-    hf = record.hf
-    return record.ambient.lambda_value == 0 and (hf is None or mirror_of(hf) == hf)
+    witnesses at both signs: it reads the sign only through _signed_inputs."""
+    return _signed_inputs(record, 1) == _signed_inputs(record, -1)
 
 
-def _decide(record, group, sign, lens, delta2, tie):
+def _decide(record, group, sign, lens):
     """The tag, witness1 and witness2 columns of the group's pairs, in
     combinations order, each pair decided by its first differing stage as
-    in distinguish; the count of pairs on which every stage ties; and the
-    record's all-tie tag, computed at the first such pair if ``tie`` is None."""
+    in distinguish, and the count of pairs on which every stage ties."""
     indices = range(len(group))
     # Each slope's witnesses are built once, not once per pair; a stage
     # whose keys are all equal decides no pair.
     stages = [
         (tag, keys, list(map(w, indices)))
-        for tag, keys, w in _stages(record, group, sign, lens, delta2)
+        for tag, keys, w in _stages(record, group, sign, lens)
         if len(set(keys)) > 1
     ]
     columns = ([], [], [])
     tags, w1s, w2s = columns
-    ties = 0
+    tie, ties = _tie_tag(record), 0
     for a, b in combinations(indices, 2):
         for tag, keys, ws in stages:
             if keys[a] != keys[b]:
@@ -305,14 +303,12 @@ def _decide(record, group, sign, lens, delta2, tie):
                 w2s.append(ws[b])
                 break
         else:
-            if tie is None:
-                tie = _tie_tag(record)
             tag = tie
             w1s.append(None)
             w2s.append(None)
             ties += 1
         tags.append(tag)
-    return columns, ties, tie
+    return columns, ties
 
 
 def _sweep_groups(records, p_max: int, q_max: int):
@@ -320,11 +316,10 @@ def _sweep_groups(records, p_max: int, q_max: int):
     with the count of its rows that are Inconclusive on a nontrivial record.
 
     A |p| group's slopes and lens part (Casson-Gordon keys and witnesses)
-    are built when first needed and shared by both signs and every record,
-    and Delta''(1) is read once per record.  When the record is sign-free
-    (_sign_free), the decisions made at -p are reused at +p, so only the
-    rows are built twice; otherwise each sign is decided on its own.  At
-    most one record's decisions are held.
+    are built when first needed and shared by both signs and every record.
+    When the record is sign-free (_sign_free), the decisions made at -p are
+    reused at +p, so only the rows are built twice; otherwise each sign is
+    decided on its own.  At most one record's decisions are held.
     """
     if p_max < 1 or q_max < 1:
         raise ValueError("p_max and q_max must be >= 1")
@@ -332,8 +327,7 @@ def _sweep_groups(records, p_max: int, q_max: int):
         records = [records]
     groups = {}  # |p| -> slopes, lens part, q1 and q2 columns of the pairs
     for record in records:
-        name, delta2, trivial = record.name, record.delta2, record.trivial
-        tie = None  # the all-tie outcome, fixed per record
+        name, trivial = record.name, record.trivial
         shared = {} if _sign_free(record) else None  # |p| -> decisions
         for p_signed in chain(range(-p_max, 0), range(1, p_max + 1)):
             # Negative slopes are decided as their positive mirrors.
@@ -351,13 +345,14 @@ def _sweep_groups(records, p_max: int, q_max: int):
                         (list(map(itemgetter(0), pairs)), list(map(itemgetter(1), pairs))),
                     )
                 group, lens, qs = groups[p]
-                decided, ties, tie = _decide(record, group, p_signed // p, lens, delta2, tie)
+                decided, ties = _decide(record, group, p_signed // p, lens)
                 columns = (*qs, *decided)
                 if shared is not None:
                     shared[p] = columns, ties
             # The rows become SweepRows in C, without the Python-level SweepRow.__new__.
             rows = list(map(tuple.__new__, repeat(SweepRow), zip(repeat(name), repeat(p_signed), *columns)))
-            yield rows, ties if tie == INCONCLUSIVE and not trivial else 0
+            # A nontrivial record's all-tie rows are Inconclusive (_tie_tag).
+            yield rows, 0 if trivial else ties
 
 
 def sweep(records, p_max: int, q_max: int) -> SweepReport:

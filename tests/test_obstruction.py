@@ -296,6 +296,28 @@ def test_distinguish_reads_only_the_stages_it_needs(corpus_by_name, monkeypatch)
         assert distinguish(tref, *pair) == expected[pair]
 
 
+def test_delta2_is_computed_when_a_record_is_built(monkeypatch):
+    # Records rebuilt through __init__ (replace, mirror_record) re-derive it.
+    kt = KnotRecord(name="kt", alexander=SymLaurentPoly(1))
+    assert kt.delta2 == 0 and replace(kt, alexander=SymLaurentPoly(3, (-1,))).delta2 == -2
+    corpus = load_knots(ds.bundled_corpus_path())
+    assert [mirror_record(record).delta2 for record in corpus] == [record.delta2 for record in corpus]
+
+    def decide_all():
+        return (
+            sweep(corpus, 6, 6),
+            [distinguish(record, Slope(1, 1), Slope.of(1, 2)) for record in corpus],
+            [distinguish(record, Slope(-1, 1), Slope.of(-1, 2)) for record in corpus],
+        )
+
+    expected = decide_all()
+
+    def boom(*args, **kwargs):
+        raise AssertionError("Delta''(1) computed after the record was built")
+
+    monkeypatch.setattr("dehnsurg.obstruction.delta2_at_one", boom)
+    assert decide_all() == expected
+
 # The Fraction-valued stage rule that the integer keys replaced, kept
 # verbatim as an oracle for distinguish.
 

@@ -216,3 +216,22 @@ def test_cold_import_without_site_loads_no_typing():
     code = f"import sys\nsys.path.insert(0, {src!r})\nimport dehnsurg\nprint('typing' in sys.modules)\n"
     done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
     assert done.stdout.split() == ["False"]
+
+
+def test_public_names_are_the_modules_all():
+    modules = (ds.dedekind, ds.hfcone, ds.knots, ds.obstruction, ds.surgery)
+    assert ds.__all__ == ["replace", *(name for module in modules for name in module.__all__)]
+    assert len(set(ds.__all__)) == len(ds.__all__)
+    assert {"dedekind_numerator", "SweepRow"} <= set(ds.__all__)
+    home = {name: module for module in modules for name in module.__all__}
+    home["replace"] = ds._value
+    for name in ds.__all__:
+        assert getattr(ds, name) is getattr(home[name], name), name
+    # The re-exports load nothing more: no dataclasses, typing or numpy.
+    src = str(Path(ds.__file__).resolve().parent.parent)
+    code = (
+        f"import sys\nsys.path.insert(0, {src!r})\nimport dehnsurg\n"
+        "print(' '.join(sorted({'dataclasses', 'typing', 'numpy'} & set(sys.modules))))\n"
+    )
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
+    assert done.stdout.split() == []
