@@ -13,13 +13,12 @@ import os
 import re
 import sys
 from collections import Counter
-from operator import itemgetter
 from pathlib import Path
 
 from .dedekind import LensSpace, dedekind_sum, lens_lambda, lens_tau_cg
 from .hfcone import cone_rank_oracle, rank_formula
 from .knots import SingularValueError, sigma_total
-from .obstruction import _csv_writer, _sweep_groups, distinguish, full_invariants, load_knots
+from .obstruction import _CSV_HEADER, _csv_field, _csv_text, _sweep_groups, distinguish, full_invariants, load_knots
 from .surgery import Slope, casson_gordon_surgered, casson_walker_surgered
 
 
@@ -203,19 +202,21 @@ def _cmd_sweep(args) -> int:
         records = [r for r in records if r.name == args.name]
         if not records:
             raise ValueError(f"no knot named {args.name!r} in {args.knot}")
-    # Each group's rows go to a file beside --out as they are decided, and
-    # it replaces --out only once complete, so an error leaves --out as it was.
+    # Each group's rows go to a file beside --out as one string, each q and
+    # witness formatted once, and the file replaces --out only once
+    # complete, so an error leaves --out as it was.
     out = Path(args.out)
     tmp = out.with_name(f"{out.name}.{os.getpid()}.tmp")
     counts, rows, bad = Counter(), 0, 0
     f = open(tmp, "x")  # outside the try: a name clash must not remove the other file
     try:
         with f:
-            writer = _csv_writer(f)
-            for group, group_bad in _sweep_groups(records, args.pmax, args.qmax):
-                writer.writerows(group)
-                counts.update(map(itemgetter(4), group))
-                rows += len(group)
+            f.write(_CSV_HEADER)
+            for name, p, columns, group_bad in _sweep_groups(records, args.pmax, args.qmax, _csv_field):
+                f.write(_csv_text(name, p, *columns))
+                tags = columns[2]
+                counts.update(tags)
+                rows += len(tags)
                 bad += group_bad
         os.replace(tmp, out)
     except BaseException:

@@ -9,10 +9,10 @@ data is on file.  The first stage whose values on the two surgeries differ
 names the invariant and gives the witnesses; when all tie, the record's
 ``trivial`` mark decides, with Delta = 1 (_tie_tag).  Negative pairs are
 decided as positive pairs on the mirror knot.  ``sweep`` decides every
-same-sign pair with equal |p| in a slope box through the same stages, one
-(record, signed p) group at a time (_sweep_groups), once per |p| when the
-record's stages do not read the sign; ``dehnsurg sweep`` streams those
-groups to its CSV.
+same-sign pair with equal |p| in a slope box through the same stages: the
+Casson-Gordon decisions once per |p| for every record and sign (_groups),
+then the later stages on the tied pairs only (_decide); ``dehnsurg sweep``
+streams the rows to its CSV, each q and witness formatted once.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import json
 import math
 from collections import Counter, namedtuple
 from fractions import Fraction
-from itertools import chain, combinations, repeat
+from itertools import chain, combinations, groupby, islice, repeat
 from operator import itemgetter
 from pathlib import Path
 
@@ -137,12 +137,6 @@ def _check_pair(s1: Slope, s2: Slope) -> int:
     return 1 if p1 > 0 else -1
 
 
-def _lens(slopes):
-    """Casson-Gordon keys U = 12p s(q,p) of slopes with p > 0, and index -> witness -U/3."""
-    us = [dedekind_numerator(s.q, s.p)[0] for s in slopes]
-    return us, lambda i: Fraction(-us[i], 3)
-
-
 def _signed_inputs(record: KnotRecord, sign: int):
     """What _stages reads through the sign: lambda * sign, and the Floer
     data the rank stage ranks, hf or mirror_of(hf), or None where that
@@ -155,36 +149,36 @@ def _signed_inputs(record: KnotRecord, sign: int):
     return lam, hf
 
 
-def _stages(record: KnotRecord, slopes, sign: int, lens=None):
+def _stages(record: KnotRecord, slopes, sign: int, us=None):
     """Each stage's tag, integer keys on the given surgeries and a function
     from a surgery's index to its witness, computed when reached.  Keys tie
-    exactly when the stage's values do.  The slopes have positive p, on the
-    mirror knot when ``sign`` is -1, whose data only the stage that needs it
-    reads.  Past the homology stage only surgeries with equal p are
-    compared, and for coprime q, p the lens part -4p s(q,p) is -U/3 with
-    the integer U = 12p s(q,p).  After a Casson-Gordon tie two
-    Casson-Walker values lambda + (U - 12 q Delta''(1))/(12p) differ exactly
-    when Delta''(1) != 0, so that stage runs only then, and the rank stage,
-    which it would always pre-empt, only otherwise.  A caller holding the
-    slopes' ``_lens`` passes it in.
+    exactly when the stage's values do.  The slopes are (p, q) integer
+    pairs with p > 0 (a Slope unpacks to its own), on the mirror knot when
+    ``sign`` is -1, whose data only the stage that needs it reads.  Past
+    the homology stage only surgeries with equal p are compared, and for
+    coprime q, p the lens part -4p s(q,p) is -U/3 with the integer U =
+    12p s(q,p), which a caller holding it passes in as ``us``.  After a
+    Casson-Gordon tie two Casson-Walker values lambda + (U - 12 q
+    Delta''(1))/(12p) differ exactly when Delta''(1) != 0, so that stage
+    runs only then, and the rank stage, which it would always pre-empt,
+    only otherwise.
     """
-    ps = [s.p for s in slopes]
+    ps = [p for p, _ in slopes]
     yield DIFFERENT_HOMOLOGY, ps, ps.__getitem__
-    us, cg_witness = lens or _lens(slopes)
-    yield BY_CASSON_GORDON, us, cg_witness
+    if us is None:
+        us = [dedekind_numerator(q, p)[0] for p, q in slopes]
+    yield BY_CASSON_GORDON, us, lambda i: Fraction(-us[i], 3)
     delta2 = record.delta2
     lam, hf = _signed_inputs(record, sign)
     if delta2 != 0:
-        keys = [u - 12 * s.q * delta2 for u, s in zip(us, slopes)]
+        keys = [u - 12 * q * delta2 for u, (_, q) in zip(us, slopes)]
         # lambda + key/(12p), built as one fraction.
         n, d = lam.as_integer_ratio()
-        yield BY_CASSON_WALKER, keys, lambda i: Fraction(
-            12 * ps[i] * n + keys[i] * d, 12 * ps[i] * d
-        )
+        yield BY_CASSON_WALKER, keys, lambda i: Fraction(12 * ps[i] * n + keys[i] * d, 12 * ps[i] * d)
     elif hf is not None:
-        # Infinite surgery returns the ambient integral homology L-space,
-        # whose hat homology has rank 1.
-        ranks = [1 if s.is_infinite else rank_formula(hf, s) for s in slopes]
+        # Infinite surgery (q = 0) returns the ambient integral homology
+        # L-space, whose hat homology has rank 1.
+        ranks = [rank_formula(hf, Slope(p, q)) if q else 1 for p, q in slopes]
         yield BY_HF_RANK, ranks, ranks.__getitem__
 
 
@@ -212,7 +206,7 @@ def distinguish(record: KnotRecord, s1: Slope, s2: Slope) -> Verdict:
     sign = _check_pair(s1, s2)
     if sign < 0:
         s1, s2 = s1.negated(), s2.negated()
-    for tag, keys, witness in _stages(record, (s1, s2), sign):
+    for tag, keys, witness in _stages(record, ((s1.p, s1.q), (s2.p, s2.q)), sign):
         if keys[0] != keys[1]:
             return Verdict(tag, witness(0), witness(1))
     return Verdict(_tie_tag(record))
@@ -253,26 +247,76 @@ class SweepReport(Value):
         self._set_fields(rows, counts, nontrivial_inconclusive)
 
     def csv_lines(self) -> list[str]:
-        """The report as CSV lines without terminators (see _csv_writer)."""
-        out = io.StringIO()
-        _csv_writer(out).writerows(self.rows)
-        return out.getvalue().split("\n")[:-1]
+        """The report as CSV lines without terminators, header first, as
+        ``dehnsurg sweep`` writes them (_csv_text)."""
+        text = _CSV_HEADER + "".join(
+            _csv_text(name, p, *(map(_csv_field, column) for column in list(zip(*rows))[2:]))
+            for (name, p), rows in groupby(self.rows, itemgetter(0, 1))
+        )
+        return text.split("\n")[:-1]
 
 
-def _csv_writer(out):
-    """A CSV writer of SweepRows to the text file ``out``, the header line
-    written: a field is quoted only when it holds a comma, a quote or a line
-    break, a missing witness is an empty field, and lines end in newlines."""
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(SweepRow._fields)
-    return writer
+_CSV_HEADER = ",".join(SweepRow._fields) + "\n"
 
 
-def _slope_group(p: int, q_max: int):
-    """All reduced slopes p/q with p > 0 and q <= q_max, plus infinity when p = 1."""
-    slopes = [Slope(1, 0)] if p == 1 else []
-    slopes += [Slope(p, q) for q in range(1, q_max + 1) if math.gcd(p, q) == 1]
-    return slopes
+def _csv_field(value) -> str:
+    """A sweep row's field as CSV text: empty for a missing witness (None)."""
+    return "" if value is None else str(value)
+
+
+def _csv_text(name: str, p: int, q1s, q2s, tags, w1s, w2s) -> str:
+    """One (record, signed p) group's rows as the csv module writes them,
+    each line ending in a newline, from columns of text (_csv_field).  Only
+    the name can need quotes, when it holds a comma, a quote or a line
+    break; the integers, tags and witnesses never do."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow((name, p))
+    head = out.getvalue()[:-1]  # the quoted name and p
+    text = "\n".join(map(",".join, zip(repeat(head), q1s, q2s, tags, w1s, w2s)))
+    return text + "\n" if text else text
+
+
+def _groups(p_max: int, q_max: int, fmt):
+    """What no record or sign changes, built once per sweep call.  For each
+    |p| group, p = 1 .. p_max, of slopes p/q with q <= q_max (1/0 as q = 0):
+    its pairs' q1 and q2 columns in combinations order; their Casson-Gordon
+    tag, witness1 and witness2 columns, with the tag None and no witnesses
+    where the keys U tie; and each tied pair's position and the indices of
+    its slopes among the slopes of tied pairs.  Then those slopes, as (p, q)
+    pairs, and their keys.  The columns hold fmt(q), fmt(w) and fmt(None).
+
+    U = 12p s(q,p) depends only on q mod p, so one Dedekind sum and one
+    witness fmt(-U/3) serve each residue.  The tied pairs are exactly the
+    pairs inside one U class.
+    """
+    groups, slopes, us = [], [], []
+    missing = fmt(None)
+    for p in range(1, p_max + 1):
+        qs = [0] if p == 1 else []
+        qs += [q for q in range(1, q_max + 1) if math.gcd(p, q) == 1]
+        lens = {}  # q mod p -> U, fmt(-U/3)
+        for r in {q % p for q in qs}:
+            u = dedekind_numerator(r, p)[0]
+            lens[r] = u, fmt(Fraction(-u, 3))
+        index = {}  # q -> its slope's index among the slopes of tied pairs
+        q1s, q2s, tags, w1s, w2s, tied = [], [], [], [], [], []
+        for (q1, f1, (u1, w1)), (q2, f2, (u2, w2)) in combinations([(q, fmt(q), lens[q % p]) for q in qs], 2):
+            q1s.append(f1)
+            q2s.append(f2)
+            if u1 != u2:
+                tags.append(BY_CASSON_GORDON)
+                w1s.append(w1)
+                w2s.append(w2)
+            else:
+                i = index.setdefault(q1, len(slopes) + len(index))
+                tied.append((len(tags), i, index.setdefault(q2, len(slopes) + len(index))))
+                tags.append(None)
+                w1s.append(missing)
+                w2s.append(missing)
+        groups.append(((q1s, q2s), (tags, w1s, w2s), tied))
+        slopes += [(p, q) for q in index]
+        us += [lens[q % p][0] for q in index]
+    return groups, slopes, us
 
 
 def _sign_free(record: KnotRecord) -> bool:
@@ -281,78 +325,64 @@ def _sign_free(record: KnotRecord) -> bool:
     return _signed_inputs(record, 1) == _signed_inputs(record, -1)
 
 
-def _decide(record, group, sign, lens):
-    """The tag, witness1 and witness2 columns of the group's pairs, in
-    combinations order, each pair decided by its first differing stage as
-    in distinguish, and the count of pairs on which every stage ties."""
-    indices = range(len(group))
-    # Each slope's witnesses are built once, not once per pair; a stage
-    # whose keys are all equal decides no pair.
+def _decide(record, template, sign, fmt):
+    """For each |p| group of the template (_groups), the q1, q2, tag,
+    witness1 and witness2 columns of its pairs, each pair decided by its
+    first differing stage as in distinguish, and its count of pairs on which
+    every stage ties.  Only the pairs the Casson-Gordon stage ties run the
+    later stages, in one pass of _stages over their slopes (1/0 and 1/1 are
+    always among them), which builds one witness fmt(w) per slope and stage.
+    """
+    groups, slopes, us = template
+    indices = range(len(slopes))
     stages = [
-        (tag, keys, list(map(w, indices)))
-        for tag, keys, w in _stages(record, group, sign, lens)
-        if len(set(keys)) > 1
+        (tag, keys, list(map(fmt, map(w, indices))))
+        for tag, keys, w in islice(_stages(record, slopes, sign, us), 2, None)  # after Casson-Gordon
     ]
-    columns = ([], [], [])
-    tags, w1s, w2s = columns
-    tie, ties = _tie_tag(record), 0
-    for a, b in combinations(indices, 2):
-        for tag, keys, ws in stages:
-            if keys[a] != keys[b]:
-                w1s.append(ws[a])
-                w2s.append(ws[b])
-                break
-        else:
-            tag = tie
-            w1s.append(None)
-            w2s.append(None)
-            ties += 1
-        tags.append(tag)
-    return columns, ties
+    tie = _tie_tag(record)
+    decided = []
+    for qs, cg, tied in groups:
+        tags, w1s, w2s = map(list, cg)
+        ties = 0
+        for k, i, j in tied:
+            for tag, keys, ws in stages:
+                if keys[i] != keys[j]:
+                    tags[k], w1s[k], w2s[k] = tag, ws[i], ws[j]
+                    break
+            else:
+                tags[k] = tie
+                ties += 1
+        decided.append(((*qs, tags, w1s, w2s), ties))
+    return decided
 
 
-def _sweep_groups(records, p_max: int, q_max: int):
-    """Yield each (record, signed p) group's rows in sweep's order, each
-    with the count of its rows that are Inconclusive on a nontrivial record.
+def _sweep_groups(records, p_max: int, q_max: int, fmt):
+    """Yield each (record, signed p) group in sweep's order as its name,
+    signed p, columns (q1, q2, tag, witness1, witness2) and the count of its
+    rows that are Inconclusive on a nontrivial record.  The columns hold
+    fmt(q) and fmt(w), fmt applied once per q of a |p| group and once per
+    witness built, and fmt(None) for a missing witness.
 
-    A |p| group's slopes and lens part (Casson-Gordon keys and witnesses)
-    are built when first needed and shared by both signs and every record.
-    When the record is sign-free (_sign_free), the decisions made at -p are
-    reused at +p, so only the rows are built twice; otherwise each sign is
-    decided on its own.  At most one record's decisions are held.
+    The template (_groups) serves both signs and every record.  Each record
+    is decided once per sign, or once when it is sign-free (_sign_free),
+    and only its decisions are held.
     """
     if p_max < 1 or q_max < 1:
         raise ValueError("p_max and q_max must be >= 1")
     if isinstance(records, KnotRecord):
         records = [records]
-    groups = {}  # |p| -> slopes, lens part, q1 and q2 columns of the pairs
+    template = _groups(p_max, q_max, fmt)
     for record in records:
         name, trivial = record.name, record.trivial
-        shared = {} if _sign_free(record) else None  # |p| -> decisions
-        for p_signed in chain(range(-p_max, 0), range(1, p_max + 1)):
-            # Negative slopes are decided as their positive mirrors.
-            p = abs(p_signed)
-            if shared is not None and p in shared:
-                columns, ties = shared.pop(p)
-            else:
-                if p not in groups:
-                    group = _slope_group(p, q_max)
-                    us, cg_witness = _lens(group)
-                    pairs = list(combinations([s.q for s in group], 2))
-                    groups[p] = (
-                        group,
-                        (us, list(map(cg_witness, range(len(group)))).__getitem__),
-                        (list(map(itemgetter(0), pairs)), list(map(itemgetter(1), pairs))),
-                    )
-                group, lens, qs = groups[p]
-                decided, ties = _decide(record, group, p_signed // p, lens)
-                columns = (*qs, *decided)
-                if shared is not None:
-                    shared[p] = columns, ties
-            # The rows become SweepRows in C, without the Python-level SweepRow.__new__.
-            rows = list(map(tuple.__new__, repeat(SweepRow), zip(repeat(name), repeat(p_signed), *columns)))
-            # A nontrivial record's all-tie rows are Inconclusive (_tie_tag).
-            yield rows, 0 if trivial else ties
+        # Negative slopes are decided as their positive mirrors.
+        decided = _decide(record, template, -1, fmt)
+        for sign, ps in ((-1, range(p_max, 0, -1)), (1, range(1, p_max + 1))):
+            if sign > 0 and not _sign_free(record):
+                decided = _decide(record, template, 1, fmt)
+            for p in ps:
+                columns, ties = decided[p - 1]
+                # A nontrivial record's all-tie rows are Inconclusive (_tie_tag).
+                yield name, sign * p, columns, 0 if trivial else ties
 
 
 def sweep(records, p_max: int, q_max: int) -> SweepReport:
@@ -362,14 +392,15 @@ def sweep(records, p_max: int, q_max: int) -> SweepReport:
     p_max and 0 <= q <= q_max; the infinite slope joins the |p| = 1 groups
     with q recorded as 0.  Rows come out in (p, q1, q2) order per record.
     The report collects _sweep_groups, which says what is computed once
-    and which ``dehnsurg sweep`` streams instead.
+    and which ``dehnsurg sweep`` formats and streams instead.
     """
-    rows, bad = [], 0
-    for group, group_bad in _sweep_groups(records, p_max, q_max):
-        rows += group
+    rows, tags, bad = [], [], 0
+    for name, p, columns, group_bad in _sweep_groups(records, p_max, q_max, lambda w: w):
+        # The rows become SweepRows in C, without the Python-level SweepRow.__new__.
+        rows += map(tuple.__new__, repeat(SweepRow), zip(repeat(name), repeat(p), *columns))
+        tags.append(columns[2])
         bad += group_bad
-    rows = tuple(rows)
-    return SweepReport(rows, dict(Counter(map(itemgetter(4), rows))), bad)
+    return SweepReport(tuple(rows), dict(Counter(chain.from_iterable(tags))), bad)
 
 
 # ---------------------------------------------------------------------------

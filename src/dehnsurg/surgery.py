@@ -52,6 +52,9 @@ class Slope(Value):
     def __hash__(self):
         return hash((self.p, self.q))
 
+    def __iter__(self):  # p, q = slope
+        return iter((self.p, self.q))
+
     @classmethod
     def of(cls, p: int, q: int) -> "Slope":
         """Build a slope from any integer pair with q possibly negative."""
@@ -155,7 +158,10 @@ def walker_correction(a: PeripheralClass, b: PeripheralClass, l: LongitudeData) 
 def casson_walker_surgered(ambient: AmbientData, delta2: int, slope: Slope) -> Fraction:
     """lambda(Y_{p/q}(K)) = lambda(Y) + s(q,p) - (q/p) * delta2.
 
-    Requires p != 0 (the result must be a rational homology sphere).
+    lambda here is -2 times Casson's normalization (Boyer-Lines: lambda =
+    -s(q,p)/2 + (q/2p) Delta''(1)); for example S^3_{+1}(T_R), which is
+    -Sigma(2,3,5), gives -2.  Requires p != 0 (the result must be a
+    rational homology sphere).
     """
     if slope.p == 0:
         raise ValueError("0-surgery does not yield a rational homology sphere")

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -517,6 +519,44 @@ def test_sweep_cli_agrees_with_the_library(tmp_path, capsys):
     assert out.read_text() == "\n".join(report.csv_lines()) + "\n"
     witnesses = {(row.p, row.q1, row.q2): row.witness1 for row in report.rows if row.name == "in_poincare"}
     assert any(witnesses[-p, q1, q2] != w for (p, q1, q2), w in witnesses.items() if p > 0)
+
+
+def test_sweep_cli_rows_match_csv_lines_byte_for_byte(tmp_path, capsys):
+    # The CLI formats its rows itself, one string per group from text
+    # columns; its file must equal csv_lines() and what csv.writer writes
+    # for the report's rows.  Past the corpus: names the csv module quotes,
+    # a Delta''(1) = 0 record with Floer data (rank-stage rows at both
+    # signs), a record in an ambient manifold with lambda = 2 (decided at
+    # each sign on its own) and a nontrivial record with Delta = 1 (its
+    # Inconclusive rows have empty witnesses).
+    raw = json.loads(Path(CORPUS).read_text())
+    trefoil = next(r for r in raw if r["name"] == "trefoil_right")
+    raw += [
+        {**trefoil, "name": "with, comma"},
+        {**trefoil, "name": 'with "quotes"'},
+        {"name": "rank_stage", "alexander": {"a0": 1}, "hf": {"g": 2, "a": [1, 2, 3, 2, 1], "v_threshold": 1}},
+        {**trefoil, "name": "in_poincare", "ambient": "Sigma(2,3,5)", "lambda_ambient": 2},
+        {"name": "alexander_one", "alexander": {"a0": 1}},
+    ]
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps(raw))
+    out = tmp_path / "r.csv"
+    code, _, _ = run(capsys, "sweep", "--knot", str(corpus), "--pmax", "10", "--qmax", "10", "--out", str(out))
+    report = ds.sweep(ds.load_knots(corpus), 10, 10)
+    assert code == 1
+    written = out.read_bytes()
+    assert written == ("\n".join(report.csv_lines()) + "\n").encode()
+    oracle = io.StringIO()
+    writer = csv.writer(oracle, lineterminator="\n")
+    writer.writerow(obstruction.SweepRow._fields)
+    writer.writerows(report.rows)
+    assert written == oracle.getvalue().encode()
+    assert b'\n"with, comma",-10,' in written and b'\n"with ""quotes""",10,' in written
+    assert {row.p > 0 for row in report.rows if row.name == "rank_stage" and row.tag == ds.BY_HF_RANK} == {
+        True,
+        False,
+    }
+    assert b"\nalexander_one,-1,0,1,Inconclusive,,\n" in written
 
 
 @pytest.mark.parametrize("old", [None, b"an older report\n"])

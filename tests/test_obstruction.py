@@ -498,6 +498,26 @@ def test_sweep_csv_shape(corpus_by_name):
     assert all(line.count(",") == 6 for line in lines)
 
 
+def test_sweep_computes_one_dedekind_sum_per_residue_class(corpus, monkeypatch):
+    # U = 12p s(q,p) depends only on q mod p, and sweep builds each |p|
+    # group once per call for every record: sweep(corpus, 10, 10) needs one
+    # Dedekind sum per (|p|, q mod |p|) class, 32 of them where one per
+    # slope would be 64, and repeating the records adds none.
+    calls = []
+
+    def counted(q, p):
+        calls.append((q % p, p))
+        return dedekind_numerator(q, p)
+
+    monkeypatch.setattr("dehnsurg.obstruction.dedekind_numerator", counted)
+    classes = {(q % p, p) for p in range(1, 11) for q in range(11) if math.gcd(p, q) == 1}
+    report = sweep(corpus, 10, 10)
+    assert len(calls) == len(classes) == 32 and set(calls) == classes
+    calls.clear()
+    assert sweep(corpus * 3, 10, 10).rows == report.rows * 3
+    assert len(calls) == 32
+
+
 def test_sweep_csv_quotes_names_with_commas(corpus_by_name):
     record = replace(corpus_by_name["trefoil_right"], name="a,b")
     lines = sweep(record, 3, 3).csv_lines()
