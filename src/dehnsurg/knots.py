@@ -454,9 +454,8 @@ def _sturm(p) -> tuple:
     return tuple(seq)
 
 
-def _homogeneous(p, x: Fraction) -> int:
-    """b^deg * p(a/b) for x = a/b: an integer with the sign of p(x)."""
-    a, b = x.numerator, x.denominator
+def _homogeneous(p, a: int, b: int) -> int:
+    """b^deg * p(a/b) for b > 0: an integer with the sign of p(a/b)."""
     v, bpow = 0, 1
     for c in reversed(p):
         v = v * a + c * bpow
@@ -464,27 +463,21 @@ def _homogeneous(p, x: Fraction) -> int:
     return v
 
 
-def _variations(seq, x: Fraction | None) -> int:
-    """Sign changes along the sequence at x, or at +infinity for None."""
-    if x is None:
-        values = [p[-1] for p in seq]
-    elif not x:
-        values = [p[0] for p in seq if p[0]]
-    else:
-        values = [v for v in (_homogeneous(p, x) for p in seq) if v]
-    return sum((s > 0) != (t > 0) for s, t in zip(values, values[1:]))
+def _variations(seq, *points) -> list[int]:
+    """Sign changes along the sequence at each point: (a, b) for a/b with
+    b > 0, or None for +infinity."""
+    counts = []
+    for x in points:
+        signs = [v > 0 for p in seq if (v := p[-1] if x is None else _homogeneous(p, *x))]
+        counts.append(sum(map(operator.ne, signs, signs[1:])))
+    return counts
 
 
-def _roots_upto(seq, x: Fraction | None) -> int:
-    """Number of distinct roots in (0, x], or in (0, inf) for None.  Exact
-    for a squarefree sequence even when 0 or x is itself a root."""
-    return _variations(seq, 0) - _variations(seq, x)
-
-
-def _root_bound(seq) -> Fraction:
-    """An integer above every root (Cauchy's bound)."""
-    p = seq[0]
-    return Fraction(2 + max(map(abs, p[:-1]), default=0) // abs(p[-1]))
+def _roots_upto(seq, x) -> int:
+    """Number of distinct roots in (0, a/b] for x = (a, b), or in (0, inf)
+    for None; exact for a squarefree sequence even at a root 0 or a/b."""
+    zero, upto = _variations(seq, (0, 1), x)
+    return zero - upto
 
 
 @lru_cache(maxsize=None)
@@ -546,9 +539,10 @@ def _cos_fixed(a: int, b: int, w: int) -> tuple[int, int]:
     return total, 2 * k + 2 + err_pi + 1
 
 
-def _tan2_enclosure(r: int, m: int, w: int) -> tuple[Fraction, Fraction | None]:
+def _tan2_enclosure(r: int, m: int, w: int) -> tuple[tuple[int, int], tuple[int, int] | None]:
     """Rationals lo <= tan^2(pi r/m) <= hi for 0 < r < m/2, from w-bit
-    cosines; hi is None when the enclosure is unbounded at this precision.
+    cosines, as pairs (a, b) for a/b with b > 0; hi is None if w bits leave
+    it unbounded.
 
     tan^2(pi r/m) = (1 - c)/(1 + c) with c = cos(2 pi r/m).  Past r = m/4
     the cosine of the complementary angle pi (m - 2r)/m, which is -c, is
@@ -559,10 +553,10 @@ def _tan2_enclosure(r: int, m: int, w: int) -> tuple[Fraction, Fraction | None]:
     one = 1 << w
     if 4 * r <= m:
         c, e = _cos_fixed(2 * r, m, w)
-        return Fraction(max(0, one - c - e), one + c + e), Fraction(one - c + e, one + c - e)
+        return (max(0, one - c - e), one + c + e), (one - c + e, one + c - e)
     c, e = _cos_fixed(m - 2 * r, m, w)
-    hi = Fraction(one + c + e, one - c - e) if one - c - e > 0 else None
-    return Fraction(one + c - e, one - c + e), hi
+    hi = (one + c + e, one - c - e) if one - c - e > 0 else None
+    return (one + c - e, one - c + e), hi
 
 
 def _arc_at(seq, r: int, m: int) -> int:
@@ -570,12 +564,12 @@ def _arc_at(seq, r: int, m: int) -> int:
     number of roots of D below u.  The enclosure is refined until it holds
     no root of D, as it must once it is narrower than u's distance to the
     nearest root."""
+    (zero,) = _variations(seq, (0, 1))
     w = 64
     while True:
-        lo, hi = _tan2_enclosure(r, m, w)
-        below = _roots_upto(seq, lo)
-        if below == _roots_upto(seq, hi):
-            return below
+        below, above = _variations(seq, *_tan2_enclosure(r, m, w))
+        if below == above:
+            return zero - below
         w *= 2
 
 
@@ -607,16 +601,18 @@ def _arc_point(seq, arc: int) -> Fraction:
     """The canonical t of an arc below the last one: bisect (0, top], top a
     power of two with top^2 above every root, until a midpoint's square
     lies strictly inside the arc."""
-    lo, hi, bound = Fraction(0), Fraction(1), _root_bound(seq)
-    while hi * hi < bound:
+    p = seq[0]
+    lo, hi, bound = Fraction(0), Fraction(1), 2 + max(map(abs, p[:-1]), default=0) // abs(p[-1])
+    while hi * hi < bound:  # Cauchy's bound is above every root
         hi *= 2
     while True:
         t = (lo + hi) / 2
         u = t * t
-        n = _roots_upto(seq, u)
+        x = u.numerator, u.denominator
+        n = _roots_upto(seq, x)
         if n > arc:
             hi = t
-        elif n < arc or not _homogeneous(seq[0], u):  # u is the arc's left end
+        elif n < arc or not _homogeneous(p, *x):  # u is the arc's left end
             lo = t
         else:
             return t

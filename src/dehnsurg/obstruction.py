@@ -82,8 +82,8 @@ class KnotRecord(Value):
 
     The Alexander polynomial is always populated (derived from the Seifert
     matrix when not given directly); Seifert and knot Floer data are
-    optional, as are the tau/nu annotations used for cross-checks.
-    """
+    optional, as are the tau/nu annotations used for cross-checks.  Only
+    Delta = 1 can be marked trivial."""
 
     _fields = ("name", "alexander", "seifert", "hf", "ambient", "tau", "nu", "trivial")
     delta2: int  # Delta''(1), derived: not compared, not shown
@@ -108,6 +108,8 @@ class KnotRecord(Value):
         object.__setattr__(self, "nu", nu)
         object.__setattr__(self, "trivial", trivial)
         object.__setattr__(self, "delta2", delta2_at_one(alexander))
+        if trivial and alexander.degree:
+            raise ValueError(f"'trivial' is true but the Alexander polynomial is {alexander}, not 1")
 
 
 def mirror_record(record: KnotRecord) -> KnotRecord:
@@ -184,7 +186,7 @@ def _stages(record: KnotRecord, slopes, sign: int, us=None):
 
 def _tie_tag(record: KnotRecord) -> str:
     """The tag when every stage ties: UnknotCosmetic only for a record
-    marked trivial whose Alexander polynomial is 1, else Inconclusive.
+    marked trivial, so with Delta = 1 (KnotRecord), else Inconclusive.
 
     No other Delta reaches a tie that the L-space form could decide: an
     alternating form with exponents n_1 < ... < n_k has Delta''(1) =
@@ -192,7 +194,7 @@ def _tie_tag(record: KnotRecord) -> str:
     Delta''(1) separate every pair the Casson-Gordon stage ties (acceptance
     criterion 9).
     """
-    return UNKNOT_COSMETIC if record.trivial and not record.alexander.degree else INCONCLUSIVE
+    return UNKNOT_COSMETIC if record.trivial else INCONCLUSIVE
 
 
 def distinguish(record: KnotRecord, s1: Slope, s2: Slope) -> Verdict:
@@ -215,11 +217,11 @@ def distinguish(record: KnotRecord, s1: Slope, s2: Slope) -> Verdict:
 def full_invariants(record: KnotRecord, slope: Slope):
     """All computable invariants of one surgered manifold, decision-free.
 
-    Returns (casson_walker, casson_gordon_or_None, hf_rank_or_None); the
-    Casson-Gordon value needs a Seifert matrix for the signature term, and
-    is None also when the Alexander polynomial vanishes at a |p|-th root
-    of unity, where sigma(K, |p|) is undefined; the rank needs knot Floer
-    data.
+    Returns (casson_walker, casson_gordon_or_None, hf_rank_or_None), each
+    value built as one fraction, or an int for the rank; the Casson-Gordon
+    value needs a Seifert matrix for the signature term, and is None also
+    when the Alexander polynomial vanishes at a |p|-th root of unity, where
+    sigma(K, |p|) is undefined; the rank needs knot Floer data.
     """
     lam = casson_walker_surgered(record.ambient, record.delta2, slope)
     tau = None
@@ -268,10 +270,11 @@ def _csv_text(name: str, p: int, q1s, q2s, tags, w1s, w2s) -> str:
     """One (record, signed p) group's rows as the csv module writes them,
     each line ending in a newline, from columns of text (_csv_field).  Only
     the name can need quotes, when it holds a comma, a quote or a line
-    break; the integers, tags and witnesses never do."""
+    break; the integers, tags and witnesses never do.  Under a CRLF line
+    terminator every Python quotes a carriage return, as 3.13 always does."""
     out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerow((name, p))
-    head = out.getvalue()[:-1]  # the quoted name and p
+    csv.writer(out, lineterminator="\r\n").writerow((name, p))
+    head = out.getvalue()[:-2]  # the quoted name and p
     text = "\n".join(map(",".join, zip(repeat(head), q1s, q2s, tags, w1s, w2s)))
     return text + "\n" if text else text
 
@@ -489,8 +492,6 @@ def _record_from_dict(raw: dict, context: str) -> KnotRecord:
     trivial = raw.get("trivial", False)
     if not isinstance(trivial, bool):
         fail(f"'trivial' must be true or false, got {trivial!r}")
-    if trivial and alexander.degree:
-        fail(f"'trivial' is true but the Alexander polynomial is {alexander}, not 1")
     if hf is not None:
         model_nu = nu_of(hf)
         if nu is not None and nu != model_nu:
@@ -501,16 +502,10 @@ def _record_from_dict(raw: dict, context: str) -> KnotRecord:
         ambient = AmbientData(_parse_fraction(raw.get("lambda_ambient", 0)), ambient_name)
     except (ValueError, ZeroDivisionError) as e:
         fail(f"bad lambda_ambient: {e}")
-    return KnotRecord(
-        name=name,
-        alexander=alexander,
-        seifert=seifert,
-        hf=hf,
-        ambient=ambient,
-        tau=tau,
-        nu=nu,
-        trivial=trivial,
-    )
+    try:
+        return KnotRecord(name, alexander, seifert, hf, ambient, tau, nu, trivial)
+    except ValueError as e:
+        fail(e)
 
 
 def load_knots(path) -> list[KnotRecord]:

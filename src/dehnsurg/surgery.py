@@ -2,7 +2,8 @@
 
 Everything here is a thin layer of exact rational arithmetic over the
 Dedekind-sum module: the null-homologous surgery formulas, and Walker's
-general framed formula with its Dedekind-sum correction term.  Sign
+general framed formula with its Dedekind-sum correction term.  Each
+null-homologous value is one fraction built from Dedekind integers.  Sign
 conventions for the peripheral basis are fixed by the calibration
 requirement that p/q surgery on the unknot in S^3 reproduces the
 lens-space value s(q,p); the test suite executes that calibration.
@@ -14,7 +15,7 @@ import math
 from fractions import Fraction
 
 from ._value import Value
-from .dedekind import dedekind_sum
+from .dedekind import dedekind_numerator, dedekind_sum
 
 __all__ = [
     "Slope",
@@ -161,18 +162,26 @@ def casson_walker_surgered(ambient: AmbientData, delta2: int, slope: Slope) -> F
     lambda here is -2 times Casson's normalization (Boyer-Lines: lambda =
     -s(q,p)/2 + (q/2p) Delta''(1)); for example S^3_{+1}(T_R), which is
     -Sigma(2,3,5), gives -2.  Requires p != 0 (the result must be a
-    rational homology sphere).
+    rational homology sphere).  One fraction from s(q,p) = u/(12|p|) and
+    lambda(Y) = n/d; a float lambda(Y) gives a float, as float + Fraction does.
     """
-    if slope.p == 0:
+    p, q = slope.p, slope.q
+    if p == 0:
         raise ValueError("0-surgery does not yield a rational homology sphere")
-    return ambient.lambda_value + dedekind_sum(slope.q, slope.p) - Fraction(slope.q, slope.p) * delta2
+    u, den = dedekind_numerator(q, p)  # den = 12|p| as the slope is reduced, so den/p = +-12
+    if isinstance(ambient.lambda_value, float):
+        return ambient.lambda_value + u / den - q * delta2 / p
+    n, d = ambient.lambda_value.as_integer_ratio()
+    return Fraction(den * n + (u - den // p * q * delta2) * d, den * d)
 
 
 def casson_gordon_surgered(sigma_p: int, slope: Slope) -> Fraction:
-    """tau(Y_{p/q}(K)) = tau(L(p,q)) - sigma(K,p) = -4p*s(q,p) - sigma_p."""
+    """tau(Y_{p/q}(K)) = tau(L(p,q)) - sigma(K,p) = -4p*s(q,p) - sigma_p,
+    one fraction from s(q,p) = u/den."""
     if slope.p == 0:
         raise ValueError("0-surgery does not yield a rational homology sphere")
-    return -4 * slope.p * dedekind_sum(slope.q, slope.p) - sigma_p
+    u, den = dedekind_numerator(slope.q, slope.p)
+    return Fraction(-4 * slope.p * u - sigma_p * den, den)
 
 
 def walker_general(

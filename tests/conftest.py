@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -21,6 +22,21 @@ def clear_caches():
                         obj.cache_clear()
 
     return clear
+
+
+@pytest.fixture
+def fraction_calls(monkeypatch):
+    """A list that gets the arguments of every Fraction.__new__ call made
+    while the test runs; empty it to start a count."""
+    calls = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        calls.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    return calls
 
 
 @pytest.fixture(scope="session")

@@ -559,6 +559,31 @@ def test_sweep_cli_rows_match_csv_lines_byte_for_byte(tmp_path, capsys):
     assert b"\nalexander_one,-1,0,1,Inconclusive,,\n" in written
 
 
+def test_sweep_cli_quotes_names_with_line_breaks(tmp_path, capsys):
+    # A name holding a carriage return or a newline is quoted on every
+    # Python version (3.13's bytes), so csv.reader reads each row back as
+    # one row, exactly the report's.
+    raw = json.loads(Path(CORPUS).read_text())
+    trefoil = next(r for r in raw if r["name"] == "trefoil_right")
+    names = ["a\rb", "a\r\nb", "a\nb"]
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps([{**trefoil, "name": name} for name in names]))
+    out = tmp_path / "r.csv"
+    code, _, _ = run(capsys, "sweep", "--knot", str(corpus), "--pmax", "4", "--qmax", "4", "--out", str(out))
+    report = ds.sweep(ds.load_knots(corpus), 4, 4)
+    assert code == 0
+    written = out.read_bytes()
+    assert written == ("\n".join(report.csv_lines()) + "\n").encode()
+    for name in names:
+        assert b'\n"' + name.encode() + b'",-4,' in written
+    with open(out, newline="", encoding="utf-8") as f:
+        rows = list(csv.reader(f))
+    assert rows == [list(obstruction.SweepRow._fields)] + [
+        ["" if field is None else str(field) for field in row] for row in report.rows
+    ]
+    assert {row[0] for row in rows[1:]} == set(names)
+
+
 @pytest.mark.parametrize("old", [None, b"an older report\n"])
 def test_sweep_error_leaves_out_as_it_was(tmp_path, capsys, monkeypatch, old):
     stages = obstruction._stages

@@ -558,6 +558,19 @@ def test_sigma_total_cold_time_independent_of_m(corpus_by_name, clear_caches):
         assert elapsed < 0.05, (m, elapsed)
 
 
+def test_sigma_total_builds_no_fraction_on_staircases(corpus_by_name, clear_caches, fraction_calls):
+    # The roots of unity are placed on integer pairs.
+    for name in ("trefoil_right", "trefoil_left", "torus_2_5", "torus_2_7"):
+        a = corpus_by_name[name].seifert
+        for m in range(1, 14):
+            clear_caches()
+            try:
+                sigma_total(a, m)
+            except SingularValueError:
+                pass
+            assert fraction_calls == [], (name, m)
+
+
 def block_sum(*matrices):
     """Seifert matrix of the connected sum: the block-diagonal sum."""
     n = sum(a.size for a in matrices)
@@ -657,7 +670,7 @@ def test_tan2_enclosure_contains_true_value():
         with mpmath.workdps(100):
             true = mpmath.tan(mpmath.pi * r / m) ** 2
             for w in (64, 128, 256):
-                lo, hi = _tan2_enclosure(r, m, w)
+                lo, hi = (x if x is None else Fraction(*x) for x in _tan2_enclosure(r, m, w))
                 assert 0 <= lo and mpf(lo) <= true, (r, m, w)
                 assert hi is None or true <= mpf(hi), (r, m, w)
         # at 256 bits every case here is bounded and tight
@@ -1254,5 +1267,6 @@ def test_integer_sturm_matches_fraction_oracle(corpus):
         points = [None, Fraction(0)]
         points += [Fraction(rng.randint(1, 400), rng.randint(1, 40)) for _ in range(8)]
         for x in points:
+            x = x if x is None else x.as_integer_ratio()
             assert _roots_upto(seq, x) == _roots_upto(want, x), (p, x)
     assert repeated >= 40 and odd_multiplier >= 5

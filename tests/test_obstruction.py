@@ -232,14 +232,14 @@ def test_sweep_of_many_records_joins_the_single_record_sweeps(corpus, box):
     # reads Delta''(1) once per record; sweeping the records together must
     # give what sweeping each alone gives.  Past the corpus: an ambient
     # manifold with lambda = 2, a record whose rank stage runs at both
-    # signs, and records with Delta''(1) = 0 and no Floer data, whose
-    # all-tie rows are Inconclusive: two nontrivial ones (one with Delta = 1)
-    # count as bad, the one marked trivial does not.
-    bare = KnotRecord(name="bare", alexander=SymLaurentPoly(7, (-4, 1)))
+    # signs, and records with Delta''(1) = 0 and no Floer data: the all-tie
+    # rows of two nontrivial ones (one with Delta = 1) are Inconclusive and
+    # count as bad, those of the one marked trivial (Delta = 1) are
+    # UnknotCosmetic.
     records = oracle_records(corpus) + [
         KnotRecord(name="alexander_one_no_floer", alexander=SymLaurentPoly(1)),
-        bare,
-        replace(bare, name="bare_trivial", trivial=True),
+        KnotRecord(name="bare", alexander=SymLaurentPoly(7, (-4, 1))),
+        KnotRecord(name="bare_trivial", alexander=SymLaurentPoly(1), trivial=True),
     ]
     report = sweep(records, *box)
     alone = [sweep(record, *box) for record in records]
@@ -247,7 +247,8 @@ def test_sweep_of_many_records_joins_the_single_record_sweeps(corpus, box):
     assert report.counts == sum((Counter(part.counts) for part in alone), Counter())
     assert report.counts == Counter(row.tag for row in report.rows)
     assert report.nontrivial_inconclusive == sum(part.nontrivial_inconclusive for part in alone)
-    assert 0 < report.nontrivial_inconclusive < report.counts[INCONCLUSIVE]
+    assert 0 < report.nontrivial_inconclusive == report.counts[INCONCLUSIVE]
+    assert UNKNOT_COSMETIC in {row.tag for row in report.rows if row.name == "bare_trivial"}
     assert all(type(row) is SweepRow for row in report.rows)
     assert {row.name for row in report.rows if row.tag == BY_HF_RANK} == {"alexander_one"}
 
@@ -535,6 +536,18 @@ def test_full_invariants_values(corpus_by_name):
     assert rank == 2
 
 
+def test_full_invariants_builds_one_fraction_per_value(corpus, clear_caches, fraction_calls):
+    # Each surgered value is one fraction from Dedekind integers, and the
+    # signature term is placed without fractions.
+    for record in corpus:
+        for slope in reduced_slopes(13, 13):
+            clear_caches()
+            fraction_calls.clear()
+            values = full_invariants(record, slope)
+            built = sum(isinstance(value, Fraction) for value in values)
+            assert len(fraction_calls) <= built, (record.name, slope, fraction_calls)
+
+
 def test_full_invariants_tau_is_none_where_sigma_is_undefined(corpus):
     # Delta(T) = T - 1 + T^-1 vanishes at the primitive 6th roots of unity,
     # so sigma(trefoil, 6) is undefined and the Casson-Gordon value with it.
@@ -582,6 +595,18 @@ def test_load_knots_corpus(corpus):
     assert sum(1 for r in corpus if r.trivial) == 1
     for record in corpus:
         assert record.alexander.a0 + 2 * sum(record.alexander.higher) == 1
+
+
+def test_record_refuses_the_trivial_mark_unless_alexander_is_one():
+    fig8 = KnotRecord("x", SymLaurentPoly(3, (-1,)))
+    message = "'trivial' is true but the Alexander polynomial is -T + 3 - T^-1, not 1"
+    with pytest.raises(ValueError) as info:
+        KnotRecord("x", SymLaurentPoly(3, (-1,)), trivial=True)
+    assert str(info.value) == message
+    with pytest.raises(ValueError) as info:
+        replace(fig8, trivial=True)
+    assert str(info.value) == message
+    assert replace(KnotRecord("u", SymLaurentPoly(1)), trivial=True).trivial
 
 
 def test_loader_accepts_trivial_only_with_alexander_one(tmp_path):

@@ -11,6 +11,7 @@ from dehnsurg import (
     Slope,
     casson_gordon_surgered,
     casson_walker_surgered,
+    dedekind_sum,
     lens_lambda,
     walker_correction,
     walker_general,
@@ -82,6 +83,27 @@ def test_casson_gordon_examples():
         assert casson_gordon_surgered(0, Slope(1, q)) == 0
     with pytest.raises(ValueError):
         casson_gordon_surgered(0, Slope(0, 1))
+
+
+def test_surgery_formulas_match_the_fraction_chains():
+    # Each value is built as one fraction from Dedekind integers; it must
+    # equal the chain of Fraction operations that defines it, in value and
+    # in type (a float lambda gives a float, as float + Fraction does).
+    slopes = [Slope(1, 0)]
+    slopes += [Slope(p, q) for p in range(-60, 61) for q in range(1, 61) if p and math.gcd(p, q) == 1]
+    ambients = [AmbientData(lam, "Y") for lam in (0, 3, Fraction(-5, 7), 0.5)]
+    for slope in slopes:
+        p, q = slope.p, slope.q
+        s, q_over_p = dedekind_sum(q, p), Fraction(q, p)
+        for delta2 in range(-6, 7):
+            for ambient in ambients:
+                want = ambient.lambda_value + s - q_over_p * delta2
+                got = casson_walker_surgered(ambient, delta2, slope)
+                assert got == want and type(got) is type(want), (ambient, slope, delta2, got)
+            sigma = delta2
+            want = -4 * p * s - sigma
+            got = casson_gordon_surgered(sigma, slope)
+            assert got == want and type(got) is type(want), (slope, sigma, got)
 
 
 def test_walker_general_reduces_to_lens_calibration():
