@@ -3,7 +3,7 @@
 All arithmetic in this module is exact: values are ``fractions.Fraction``
 (arbitrary precision), never floats.  The Dedekind sum s(q,p) is defined
 by a sum over k = 1 .. |p|-1, but it is computed in O(log |p|) integer
-steps by the Euclid descent that the reciprocity law allows.
+steps, one forward pass over Euclid's quotients (Barkan-Hickerson-Knuth).
 """
 
 from __future__ import annotations
@@ -45,18 +45,20 @@ def dedekind_numerator(q: int, p: int) -> tuple[int, int]:
     a = q % b
     g = math.gcd(a, b)
     a, b = a // g, b // g
-    if a == 0:
-        return 0, 12 * b
-    # U(a,b) = 12b s(a,b) is an integer.  Reciprocity gives
-    # a U(a,b) = a^2 + b^2 + 1 - 3ab - b U(b mod a, a), down to
-    # U(1,b) = (b-1)(b-2); descend like Euclid, then climb back up.
-    descent = []
-    while a > 1:
-        descent.append((a, b))
-        a, b = b % a, a
-    u = (b - 1) * (b - 2)
-    for a, b in reversed(descent):
-        u = (a * a + b * b + 1 - 3 * a * b - b * u) // a
+    # U(a,b) = 12b s(a,b) = b (c_1 - c_2 + c_3 - ...) + a + (a^-1 mod b)
+    # - (3b if n is odd, else b), c_1 .. c_n Euclid's quotients on (b, a),
+    # taken two a turn to fix each one's sign.  h, k hold the numerators of
+    # b/a's convergents: a^-1 mod b is h_{n-2} for odd n, b - h_{n-2} for even.
+    t, x, y, h, k = 0, b, a, 0, 1
+    while y:
+        c, x = x // y, x % y
+        if not x:  # n is odd, and a^-1 = k
+            t, h = t + c - 3, -k
+            break
+        h += c * k
+        d, y = y // x, y % x
+        t, k = t + c - d, k + d * h
+    u = b * t + a - h  # for even n, a^-1 = b - h
     return (u if p > 0 else -u), 12 * b
 
 

@@ -31,7 +31,8 @@ from ._value import Value, replace
 from .dedekind import dedekind_numerator
 from .hfcone import KnotFloerData, cone_rank_oracle, mirror_of, nu_of, rank_formula
 from .knots import SeifertMatrix, SingularValueError, SymLaurentPoly, delta2_at_one, sigma_total
-from .surgery import AmbientData, Slope, casson_gordon_surgered, casson_walker_surgered
+from .surgery import AmbientData, Slope, _casson_gordon, _casson_walker, _numerator
+from .surgery import casson_walker_surgered  # noqa: F401  (tests patch it by this module's name)
 
 __all__ = [
     "DIFFERENT_HOMOLOGY",
@@ -202,13 +203,11 @@ def distinguish(record: KnotRecord, s1: Slope, s2: Slope) -> Verdict:
     stage whose values differ.
 
     For pairs of negative slopes the question is transported to the mirror
-    knot with positive slopes, so reported witnesses are the invariants of
-    the mirrored surgeries.
+    knot with positive slopes, p/q becoming |p|/q (1/0 is 1/0 at both signs),
+    so reported witnesses are the invariants of the mirrored surgeries.
     """
-    sign = _check_pair(s1, s2)
-    if sign < 0:
-        s1, s2 = s1.negated(), s2.negated()
-    for tag, keys, witness in _stages(record, ((s1.p, s1.q), (s2.p, s2.q)), sign):
+    sign = _check_pair(s1, s2)  # both finite p have this sign
+    for tag, keys, witness in _stages(record, ((abs(s1.p), s1.q), (abs(s2.p), s2.q)), sign):
         if keys[0] != keys[1]:
             return Verdict(tag, witness(0), witness(1))
     return Verdict(_tie_tag(record))
@@ -223,11 +222,12 @@ def full_invariants(record: KnotRecord, slope: Slope):
     when the Alexander polynomial vanishes at a |p|-th root of unity, where
     sigma(K, |p|) is undefined; the rank needs knot Floer data.
     """
-    lam = casson_walker_surgered(record.ambient, record.delta2, slope)
+    u_den = _numerator(slope)  # one Euclid pass serves both formulas
+    lam = _casson_walker(record.ambient.lambda_value, record.delta2, slope, *u_den)
     tau = None
     if record.seifert is not None:
         try:
-            tau = casson_gordon_surgered(sigma_total(record.seifert, abs(slope.p)), slope)
+            tau = _casson_gordon(sigma_total(record.seifert, abs(slope.p)), slope, *u_den)
         except SingularValueError:
             pass
     rank = None

@@ -156,6 +156,24 @@ def walker_correction(a: PeripheralClass, b: PeripheralClass, l: LongitudeData) 
     return term
 
 
+def _numerator(slope: Slope) -> tuple[int, int]:
+    """s(q,p) = u/den, den = 12|p| as p/q is reduced: what both formulas read."""
+    if slope.p == 0:
+        raise ValueError("0-surgery does not yield a rational homology sphere")
+    return dedekind_numerator(slope.q, slope.p)
+
+
+def _casson_walker(lam, delta2: int, slope: Slope, u: int, den: int) -> Fraction:
+    if isinstance(lam, float):
+        return lam + u / den - slope.q * delta2 / slope.p
+    n, d = lam.as_integer_ratio()
+    return Fraction(den * n + (u - den // slope.p * slope.q * delta2) * d, den * d)  # den/p = +-12
+
+
+def _casson_gordon(sigma_p: int, slope: Slope, u: int, den: int) -> Fraction:
+    return Fraction(-4 * slope.p * u - sigma_p * den, den)
+
+
 def casson_walker_surgered(ambient: AmbientData, delta2: int, slope: Slope) -> Fraction:
     """lambda(Y_{p/q}(K)) = lambda(Y) + s(q,p) - (q/p) * delta2.
 
@@ -165,23 +183,13 @@ def casson_walker_surgered(ambient: AmbientData, delta2: int, slope: Slope) -> F
     rational homology sphere).  One fraction from s(q,p) = u/(12|p|) and
     lambda(Y) = n/d; a float lambda(Y) gives a float, as float + Fraction does.
     """
-    p, q = slope.p, slope.q
-    if p == 0:
-        raise ValueError("0-surgery does not yield a rational homology sphere")
-    u, den = dedekind_numerator(q, p)  # den = 12|p| as the slope is reduced, so den/p = +-12
-    if isinstance(ambient.lambda_value, float):
-        return ambient.lambda_value + u / den - q * delta2 / p
-    n, d = ambient.lambda_value.as_integer_ratio()
-    return Fraction(den * n + (u - den // p * q * delta2) * d, den * d)
+    return _casson_walker(ambient.lambda_value, delta2, slope, *_numerator(slope))
 
 
 def casson_gordon_surgered(sigma_p: int, slope: Slope) -> Fraction:
     """tau(Y_{p/q}(K)) = tau(L(p,q)) - sigma(K,p) = -4p*s(q,p) - sigma_p,
     one fraction from s(q,p) = u/den."""
-    if slope.p == 0:
-        raise ValueError("0-surgery does not yield a rational homology sphere")
-    u, den = dedekind_numerator(slope.q, slope.p)
-    return Fraction(-4 * slope.p * u - sigma_p * den, den)
+    return _casson_gordon(sigma_p, slope, *_numerator(slope))
 
 
 def walker_general(

@@ -39,6 +39,23 @@ def fraction_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def dedekind_calls(monkeypatch):
+    """A list that gets the arguments of every dedekind_numerator call made
+    while the test runs, through whichever package module holds the name."""
+    calls = []
+    original = ds.dedekind.dedekind_numerator
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "dehnsurg" and getattr(module, "dedekind_numerator", None) is original:
+            monkeypatch.setattr(module, "dedekind_numerator", counting)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def corpus():
     return ds.load_knots(ds.bundled_corpus_path())

@@ -37,6 +37,15 @@ def test_dedekind_huge_p(capsys):
     assert code == 0 and out == "166666668500000005/2000000014\n"
 
 
+def test_distinguish_verbose_counts_its_dedekind_sums(capsys, dedekind_calls):
+    # Two for the Casson-Gordon keys, two printed s(q,p), and one per
+    # slope for the surgered invariants.
+    argv = ["distinguish", "--knot", CORPUS, "--name", "trefoil_right", "--slopes", "7/2", "7/3", "--verbose"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and "tag=DistinguishedByCassonGordon" in out
+    assert len(dedekind_calls) <= 6
+
+
 def test_dedekind_negative_non_coprime(capsys):
     # s(6,-9) = -s(2,3) = 1/18
     code, out, _ = run(capsys, "dedekind", "6", "-9")

@@ -201,3 +201,71 @@ def test_homeomorphic_lens_spaces_share_invariants():
                 if lens_op_homeomorphic(l1, l2):
                     assert lens_lambda(l1) == lens_lambda(l2)
                     assert lens_tau_cg(l1) == lens_tau_cg(l2)
+
+
+def descent_numerator(q, p):
+    """Reciprocity-descent oracle for dedekind_numerator's (u, den): descend
+    Euclid's chain, then climb back with one exact division per step."""
+    if p == 0:
+        raise ValueError("dedekind_sum requires p != 0")
+    # s(q,p) = sign(p) s(q mod |p|, |p|), and s(gq, gb) = s(q, b).
+    b = abs(p)
+    a = q % b
+    g = math.gcd(a, b)
+    a, b = a // g, b // g
+    if a == 0:
+        return 0, 12 * b
+    # U(a,b) = 12b s(a,b) is an integer.  Reciprocity gives
+    # a U(a,b) = a^2 + b^2 + 1 - 3ab - b U(b mod a, a), down to
+    # U(1,b) = (b-1)(b-2); descend like Euclid, then climb back up.
+    descent = []
+    while a > 1:
+        descent.append((a, b))
+        a, b = b % a, a
+    u = (b - 1) * (b - 2)
+    for a, b in reversed(descent):
+        u = (a * a + b * b + 1 - 3 * a * b - b * u) // a
+    return (u if p > 0 else -u), 12 * b
+
+
+def euclid_length(a, b):
+    """The number n of Euclid's quotients on (b, a)."""
+    n = 0
+    while a:
+        a, b, n = b % a, a, n + 1
+    return n
+
+
+def test_forward_form_matches_the_definition_on_small_coprime_pairs():
+    pairs = [(a, b) for b in range(2, 60) for a in range(1, b) if math.gcd(a, b) == 1]
+    assert len(pairs) == 1085
+    for a, b in pairs:
+        u, den = dedekind_numerator(a, b)
+        assert den == 12 * b and Fraction(u, den) == brute_dedekind_sum(a, b), (a, b)
+
+
+def test_forward_form_matches_the_descent_at_large_p():
+    rng = random.Random(23)
+    for _ in range(2000):
+        p = rng.randint(1, 10 ** rng.randint(1, 12)) * rng.choice((1, -1))
+        q = rng.randint(-(10**15), 10**15)
+        if rng.random() < 0.2:  # a common factor of q and p
+            g = rng.randint(2, 1000)
+            q, p = g * q, g * p
+        assert dedekind_numerator(q, p) == descent_numerator(q, p), (q, p)
+
+
+def test_forward_form_matches_the_descent_on_fibonacci_pairs():
+    # Consecutive Fibonacci numbers have the longest Euclid chains for their
+    # size, and n runs through both parities as the index grows.
+    fib = [0, 1]
+    while len(fib) <= 301:
+        fib.append(fib[-1] + fib[-2])
+    parities = set()
+    for k in range(3, 301):
+        a, b = fib[k], fib[k + 1]
+        parities.add(euclid_length(a, b) % 2)
+        for q, p in ((a, b), (-a, b), (a, -b), (fib[k - 1], b), (a + 7 * b, b)):
+            assert dedekind_numerator(q, p) == descent_numerator(q, p), (k, q, p)
+    assert parities == {0, 1}
+    assert euclid_length(fib[299], fib[300]) == 298

@@ -548,6 +548,37 @@ def test_full_invariants_builds_one_fraction_per_value(corpus, clear_caches, fra
             assert len(fraction_calls) <= built, (record.name, slope, fraction_calls)
 
 
+def test_full_invariants_runs_one_euclid_pass_per_slope(corpus_by_name, dedekind_calls):
+    # The Casson-Walker and Casson-Gordon values read the same s(q,p).
+    tref = corpus_by_name["trefoil_right"]
+    for slope in (Slope(7, 2), Slope(-7, 3), Slope(1000003, 999983), Slope(1, 0)):
+        dedekind_calls.clear()
+        full_invariants(tref, slope)
+        assert len(dedekind_calls) == 1, slope
+
+
+def test_distinguish_builds_no_slope(corpus_by_name, monkeypatch):
+    # distinguish hands _stages (p, q) pairs, p negated on the mirror and
+    # 1/0 kept as it is, without building a Slope.
+    tref = corpus_by_name["trefoil_right"]
+    pairs = {
+        (Slope(-5, 1), Slope(-5, 2)): Verdict(BY_CASSON_GORDON, -4, 0),
+        (Slope(-1, 1), Slope(1, 0)): Verdict(BY_CASSON_WALKER, -2, 0),
+        (Slope(1, 0), Slope(-1, 1)): Verdict(BY_CASSON_WALKER, 0, -2),
+    }
+    built = []
+    init = Slope.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Slope, "__init__", counting)
+    for pair, verdict in pairs.items():
+        assert distinguish(tref, *pair) == verdict, pair
+    assert built == []
+
+
 def test_full_invariants_tau_is_none_where_sigma_is_undefined(corpus):
     # Delta(T) = T - 1 + T^-1 vanishes at the primitive 6th roots of unity,
     # so sigma(trefoil, 6) is undefined and the Casson-Gordon value with it.
