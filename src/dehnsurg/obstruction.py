@@ -29,10 +29,9 @@ from pathlib import Path
 
 from ._value import Value, replace
 from .dedekind import dedekind_numerator
-from .hfcone import KnotFloerData, cone_rank_oracle, mirror_of, nu_of, rank_formula
+from .hfcone import KnotFloerData, mirror_of, nu_of, rank_formula
 from .knots import SeifertMatrix, SingularValueError, SymLaurentPoly, delta2_at_one, sigma_total
 from .surgery import AmbientData, Slope, _casson_gordon, _casson_walker, _numerator
-from .surgery import casson_walker_surgered  # noqa: F401  (tests patch it by this module's name)
 
 __all__ = [
     "DIFFERENT_HOMOLOGY",
@@ -152,19 +151,24 @@ def _signed_inputs(record: KnotRecord, sign: int):
     return lam, hf
 
 
+def _hf_rank(hf: KnotFloerData, p: int, q: int) -> int:
+    """Rank of hat HF of p/q surgery, by the closed formula: the infinite
+    slope (q = 0) returns the ambient integral homology L-space, rank 1."""
+    return rank_formula(hf, Slope(p, q)) if q else 1
+
+
 def _stages(record: KnotRecord, slopes, sign: int, us=None):
     """Each stage's tag, integer keys on the given surgeries and a function
     from a surgery's index to its witness, computed when reached.  Keys tie
     exactly when the stage's values do.  The slopes are (p, q) integer
-    pairs with p > 0 (a Slope unpacks to its own), on the mirror knot when
-    ``sign`` is -1, whose data only the stage that needs it reads.  Past
-    the homology stage only surgeries with equal p are compared, and for
-    coprime q, p the lens part -4p s(q,p) is -U/3 with the integer U =
-    12p s(q,p), which a caller holding it passes in as ``us``.  After a
-    Casson-Gordon tie two Casson-Walker values lambda + (U - 12 q
-    Delta''(1))/(12p) differ exactly when Delta''(1) != 0, so that stage
-    runs only then, and the rank stage, which it would always pre-empt,
-    only otherwise.
+    pairs with p > 0, on the mirror knot when ``sign`` is -1, whose data
+    only the stage that needs it reads.  Past the homology stage only
+    surgeries with equal p are compared, and for coprime q, p the lens part
+    -4p s(q,p) is -U/3 with the integer U = 12p s(q,p), which a caller
+    holding it passes in as ``us``.  After a Casson-Gordon tie two
+    Casson-Walker values lambda + (U - 12 q Delta''(1))/(12p) differ
+    exactly when Delta''(1) != 0, so that stage runs only then, and the
+    rank stage, which it would always pre-empt, only otherwise.
     """
     ps = [p for p, _ in slopes]
     yield DIFFERENT_HOMOLOGY, ps, ps.__getitem__
@@ -175,13 +179,9 @@ def _stages(record: KnotRecord, slopes, sign: int, us=None):
     lam, hf = _signed_inputs(record, sign)
     if delta2 != 0:
         keys = [u - 12 * q * delta2 for u, (_, q) in zip(us, slopes)]
-        # lambda + key/(12p), built as one fraction.
-        n, d = lam.as_integer_ratio()
-        yield BY_CASSON_WALKER, keys, lambda i: Fraction(12 * ps[i] * n + keys[i] * d, 12 * ps[i] * d)
+        yield BY_CASSON_WALKER, keys, lambda i: _casson_walker(lam, delta2, *slopes[i], us[i], 12 * ps[i])
     elif hf is not None:
-        # Infinite surgery (q = 0) returns the ambient integral homology
-        # L-space, whose hat homology has rank 1.
-        ranks = [rank_formula(hf, Slope(p, q)) if q else 1 for p, q in slopes]
+        ranks = [_hf_rank(hf, p, q) for p, q in slopes]
         yield BY_HF_RANK, ranks, ranks.__getitem__
 
 
@@ -220,22 +220,20 @@ def full_invariants(record: KnotRecord, slope: Slope):
     value built as one fraction, or an int for the rank; the Casson-Gordon
     value needs a Seifert matrix for the signature term, and is None also
     when the Alexander polynomial vanishes at a |p|-th root of unity, where
-    sigma(K, |p|) is undefined; the rank needs knot Floer data.
+    sigma(K, |p|) is undefined; the rank needs knot Floer data and comes
+    from the closed formula, as in the rank stage (the mapping cone runs
+    in ``dehnsurg hf-rank`` and in the tests).
     """
+    p, q = slope.p, slope.q
     u_den = _numerator(slope)  # one Euclid pass serves both formulas
-    lam = _casson_walker(record.ambient.lambda_value, record.delta2, slope, *u_den)
+    lam = _casson_walker(record.ambient.lambda_value, record.delta2, p, q, *u_den)
     tau = None
     if record.seifert is not None:
         try:
-            tau = _casson_gordon(sigma_total(record.seifert, abs(slope.p)), slope, *u_den)
+            tau = _casson_gordon(sigma_total(record.seifert, abs(p)), p, *u_den)
         except SingularValueError:
             pass
-    rank = None
-    if record.hf is not None:
-        if slope.is_infinite:
-            rank = 1  # the ambient manifold is an integral homology L-space
-        else:
-            rank = cone_rank_oracle(record.hf, slope, verify_stability=False)
+    rank = _hf_rank(record.hf, p, q) if record.hf is not None else None
     return lam, tau, rank
 
 

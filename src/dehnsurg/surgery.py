@@ -53,9 +53,6 @@ class Slope(Value):
     def __hash__(self):
         return hash((self.p, self.q))
 
-    def __iter__(self):  # p, q = slope
-        return iter((self.p, self.q))
-
     @classmethod
     def of(cls, p: int, q: int) -> "Slope":
         """Build a slope from any integer pair with q possibly negative."""
@@ -148,9 +145,8 @@ def walker_correction(a: PeripheralClass, b: PeripheralClass, l: LongitudeData) 
     bl = pairing(b, lc)
     if al == 0 or bl == 0:
         raise ValueError("classes pairing to zero with the longitude are not allowed")
-    x = PeripheralClass(1, 0)
-    y = PeripheralClass(0, 1)
-    term = -dedekind_sum(pairing(x, a), pairing(y, a)) + dedekind_sum(pairing(x, b), pairing(y, b))
+    # <x, c> = c.lambda_coeff and <y, c> = -c.mu_coeff.
+    term = -dedekind_sum(a.lambda_coeff, -a.mu_coeff) + dedekind_sum(b.lambda_coeff, -b.mu_coeff)
     d = l.d
     term += Fraction(d * d - 1, 12) * Fraction(pairing(a, b), al * bl)
     return term
@@ -163,15 +159,15 @@ def _numerator(slope: Slope) -> tuple[int, int]:
     return dedekind_numerator(slope.q, slope.p)
 
 
-def _casson_walker(lam, delta2: int, slope: Slope, u: int, den: int) -> Fraction:
+def _casson_walker(lam, delta2: int, p: int, q: int, u: int, den: int) -> Fraction:
     if isinstance(lam, float):
-        return lam + u / den - slope.q * delta2 / slope.p
+        return lam + u / den - q * delta2 / p
     n, d = lam.as_integer_ratio()
-    return Fraction(den * n + (u - den // slope.p * slope.q * delta2) * d, den * d)  # den/p = +-12
+    return Fraction(den * n + (u - den // p * q * delta2) * d, den * d)  # den/p = +-12
 
 
-def _casson_gordon(sigma_p: int, slope: Slope, u: int, den: int) -> Fraction:
-    return Fraction(-4 * slope.p * u - sigma_p * den, den)
+def _casson_gordon(sigma_p: int, p: int, u: int, den: int) -> Fraction:
+    return Fraction(-4 * p * u - sigma_p * den, den)
 
 
 def casson_walker_surgered(ambient: AmbientData, delta2: int, slope: Slope) -> Fraction:
@@ -183,13 +179,13 @@ def casson_walker_surgered(ambient: AmbientData, delta2: int, slope: Slope) -> F
     rational homology sphere).  One fraction from s(q,p) = u/(12|p|) and
     lambda(Y) = n/d; a float lambda(Y) gives a float, as float + Fraction does.
     """
-    return _casson_walker(ambient.lambda_value, delta2, slope, *_numerator(slope))
+    return _casson_walker(ambient.lambda_value, delta2, slope.p, slope.q, *_numerator(slope))
 
 
 def casson_gordon_surgered(sigma_p: int, slope: Slope) -> Fraction:
     """tau(Y_{p/q}(K)) = tau(L(p,q)) - sigma(K,p) = -4p*s(q,p) - sigma_p,
     one fraction from s(q,p) = u/den."""
-    return _casson_gordon(sigma_p, slope, *_numerator(slope))
+    return _casson_gordon(sigma_p, slope.p, *_numerator(slope))
 
 
 def walker_general(

@@ -31,7 +31,7 @@ from dehnsurg import (
     sweep,
 )
 from dehnsurg.dedekind import dedekind_numerator, dedekind_sum
-from dehnsurg.hfcone import mirror_of, rank_formula
+from dehnsurg.hfcone import cone_rank_oracle, mirror_of, rank_formula
 from dehnsurg.knots import NotLSpaceFormError, SingularValueError, parse_lspace_form, sigma_total
 from dehnsurg.obstruction import _STAGES, SweepRow, _check_pair, _stages
 from dehnsurg.surgery import casson_gordon_surgered, casson_walker_surgered
@@ -274,27 +274,46 @@ def test_distinguish_computes_no_dedekind_sum_for_different_p(corpus_by_name, mo
 
 
 def test_distinguish_reads_only_the_stages_it_needs(corpus_by_name, monkeypatch):
-    # A Casson-Gordon difference decides before Casson-Walker, the rank and
-    # the mirror's Floer data are computed; a Casson-Walker difference
-    # decides before the rank and the mirror's Floer data are.
+    # A Casson-Gordon difference decides before the Casson-Walker witness,
+    # the rank and the mirror's Floer data are computed; a Casson-Walker
+    # difference decides without the rank or the mirror's Floer data.  Each
+    # patched name is one a later stage calls, and a pair that reaches that
+    # stage trips it: trefoil_right (Delta''(1) = 2) reaches Casson-Walker,
+    # alexander_one (Delta''(1) = 0, with Floer data) the rank stage.
     tref = corpus_by_name["trefoil_right"]
+    floer = KnotRecord(
+        name="alexander_one",
+        alexander=SymLaurentPoly(1),
+        hf=ds.KnotFloerData(2, (1, 2, 3, 2, 1), 1),
+    )
     cg_pairs = [(Slope(5, 1), Slope(5, 2)), (Slope(-5, 1), Slope(-5, 2))]
     cw_pair = (Slope(-1, 1), Slope.of(-1, 2))
-    expected = {pair: distinguish(tref, *pair) for pair in cg_pairs + [cw_pair]}
-    assert {expected[pair].tag for pair in cg_pairs} == {BY_CASSON_GORDON}
-    assert expected[cw_pair].tag == BY_CASSON_WALKER
+    hf_pairs = [(Slope(1, 1), Slope.of(1, 2)), (Slope(-1, 1), Slope.of(-1, 2))]
+    decided = [(record, pair) for record in (tref, floer) for pair in cg_pairs] + [(tref, cw_pair)]
+    expected = {(record.name, pair): distinguish(record, *pair) for record, pair in decided}
+    assert {v.tag for (name, pair), v in expected.items() if pair in cg_pairs} == {BY_CASSON_GORDON}
+    assert expected["trefoil_right", cw_pair].tag == BY_CASSON_WALKER
+    assert {distinguish(floer, *pair).tag for pair in hf_pairs} == {BY_HF_RANK}
 
-    def boom(*args, **kwargs):
-        raise AssertionError("stage computed after the decision")
+    def boom(name):
+        def fail(*args, **kwargs):
+            raise AssertionError(f"{name} called after the decision")
 
-    monkeypatch.setattr("dehnsurg.obstruction.rank_formula", boom)
-    monkeypatch.setattr("dehnsurg.obstruction.mirror_of", boom)
-    assert distinguish(tref, *cw_pair) == expected[cw_pair]
-    monkeypatch.setattr("dehnsurg.obstruction.casson_walker_surgered", boom)
-    # The Casson-Walker keys read Delta''(1), which nothing before them does.
-    monkeypatch.setattr("dehnsurg.obstruction.delta2_at_one", boom)
-    for pair in cg_pairs:
-        assert distinguish(tref, *pair) == expected[pair]
+        return fail
+
+    monkeypatch.setattr("dehnsurg.obstruction.rank_formula", boom("rank_formula"))
+    monkeypatch.setattr("dehnsurg.obstruction.mirror_of", boom("mirror_of"))
+    for record, pair in decided:
+        assert distinguish(record, *pair) == expected[record.name, pair]
+    with pytest.raises(AssertionError, match="rank_formula called"):
+        distinguish(floer, *hf_pairs[0])
+    with pytest.raises(AssertionError, match="mirror_of called"):
+        distinguish(floer, *hf_pairs[1])
+    monkeypatch.setattr("dehnsurg.obstruction._casson_walker", boom("_casson_walker"))
+    for record, pair in decided[:-1]:
+        assert distinguish(record, *pair) == expected[record.name, pair]
+    with pytest.raises(AssertionError, match="_casson_walker called"):
+        distinguish(tref, *cw_pair)
 
 
 def test_delta2_is_computed_when_a_record_is_built(monkeypatch):
@@ -458,7 +477,10 @@ def test_stage_keys_tie_exactly_when_the_values_do(corpus):
                 for p in range(1, 16):
                     group = [Slope(1, 0)] if p == 1 else []
                     group += [Slope(p, q) for q in range(1, 16) if math.gcd(p, q) == 1]
-                    stages = {tag: (keys, witness) for tag, keys, witness in _stages(knot, group, sign)}
+                    stages = {
+                        tag: (keys, witness)
+                        for tag, keys, witness in _stages(knot, [(s.p, s.q) for s in group], sign)
+                    }
                     cg_keys, cg_witness = stages[BY_CASSON_GORDON]
                     cw_keys, cw_witness = stages[BY_CASSON_WALKER]
                     cg = [-4 * s.p * dedekind_sum(s.q, s.p) for s in group]
@@ -596,6 +618,52 @@ def test_full_invariants_tau_is_none_where_sigma_is_undefined(corpus):
             else:
                 assert tau == casson_gordon_surgered(sigma, slope), (record.name, slope)
     assert singular > 0
+
+
+def test_full_invariants_rank_matches_the_cone_oracle(corpus):
+    # full_invariants ranks by the closed formula; the mapping cone is its
+    # reference at both signs, and the infinite slope has rank 1.
+    records = [record for record in corpus if record.hf is not None]
+    assert len(records) == 6
+    for record in records:
+        assert full_invariants(record, Slope(1, 0))[2] == 1
+        for slope in reduced_slopes(13, 13):
+            assert full_invariants(record, slope)[2] == cone_rank_oracle(record.hf, slope), (record.name, slope)
+
+
+def test_full_invariants_never_runs_the_cone(corpus, monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("full_invariants ran the mapping cone")
+
+    monkeypatch.setattr("dehnsurg.hfcone.cone_rank_oracle", boom)
+    monkeypatch.setattr("dehnsurg.hfcone._cone_rank", boom)
+    slopes = [Slope(1, 0), Slope(7, 2), Slope(-7, 3), Slope(1, 10000019), Slope(-1000003, 999983)]
+    for record in corpus:
+        if record.hf is not None:
+            for slope in slopes:
+                assert full_invariants(record, slope)[2] == (rank_formula(record.hf, slope) if slope.q else 1)
+
+
+def test_casson_walker_witness_is_the_mirrored_surgery_value(corpus_by_name):
+    # distinguish's Casson-Walker witnesses are casson_walker_surgered on the
+    # mirrored surgeries, in value and in type: a Fraction from an exact
+    # lambda, a float from a float one.
+    decided = set()
+    for name in ("trefoil_right", "figure_eight", "torus_2_5"):
+        for lam in (0, 3, Fraction(-5, 7), 0.5):
+            record = replace(corpus_by_name[name], ambient=ds.AmbientData(lam, "Y"))
+            for pair in slope_pairs_same_p(4, 5):
+                for s1, s2 in (pair, tuple(s.negated() for s in pair)):
+                    v = distinguish(record, s1, s2)
+                    if v.tag != BY_CASSON_WALKER:
+                        continue
+                    sign = _check_pair(s1, s2)
+                    ambient = record.ambient if sign > 0 else record.ambient.negated()
+                    for got, s in ((v.value1, s1), (v.value2, s2)):
+                        want = casson_walker_surgered(ambient, record.delta2, s if sign > 0 else s.negated())
+                        assert got == want and type(got) is type(want), (name, lam, s1, s2)
+                    decided.add((sign, type(v.value1)))
+    assert decided == {(sign, kind) for sign in (1, -1) for kind in (Fraction, float)}
 
 
 def test_ambient_record(tmp_path):
