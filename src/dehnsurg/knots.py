@@ -366,18 +366,25 @@ def delta2_at_one(poly: SymLaurentPoly) -> int:
     return 2 * sum(c * j * j for j, c in enumerate(poly.higher, start=1))
 
 
-def _totient(n: int) -> int:
-    """Euler's phi, by trial division."""
-    out, p = n, 2
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, by trial division."""
+    primes, p = [], 2
     while p * p <= n:
         if n % p == 0:
+            primes.append(p)
             while n % p == 0:
                 n //= p
-            out -= out // p
         p += 1
     if n > 1:
-        out -= out // n
-    return out
+        primes.append(n)
+    return primes
+
+
+def _totient(n: int, primes=None) -> int:
+    """Euler's phi, from the distinct primes of n (_prime_factors(n) unless given)."""
+    for p in _prime_factors(n) if primes is None else primes:
+        n -= n // p
+    return n
 
 
 def _alexander_vanishes_at(poly: SymLaurentPoly, d: int, jumps: int) -> bool:
@@ -386,9 +393,25 @@ def _alexander_vanishes_at(poly: SymLaurentPoly, d: int, jumps: int) -> bool:
     Orders d <= 2 never vanish: Delta(1) = 1 and Delta(-1) = Delta(1) (mod 4).
     For d >= 3 the phi(d)/2 roots on the upper semicircle are distinct jumps,
     so only phi(d) <= 2 jumps can divide; phi(d) >= sqrt(d/2) then leaves
-    d <= 8 jumps^2 (see _jumps)."""
-    if d < 3 or d > 8 * jumps * jumps or _totient(d) > 2 * jumps:
+    d <= 8 jumps^2 (see _jumps).
+
+    Values at T = +-1 rule out most of the rest without a division.  If
+    T^g Delta = Phi_d Q, Q has integer coefficients (Phi_d is monic), so
+    Phi_d(1) divides Delta(1) = 1 and Phi_d(-1) divides Delta(-1).  Now
+    Phi_d(1) = p for d = p^k, p prime, so no prime power divides; and
+    Phi_d(-1) = Phi_(d/2)(1) = p for d = 2 p^k, p odd, as Phi_2n(T) =
+    Phi_n(-T) for odd n > 1, so that order needs p | Delta(-1).  Every
+    other d has Phi_d(+-1) = 1, which rules nothing out, so it and each
+    d = 2 p^k with p | Delta(-1) is tested by division."""
+    if d < 3 or d > 8 * jumps * jumps:
         return False
+    primes = _prime_factors(d)
+    if len(primes) == 1 or _totient(d, primes) > 2 * jumps:
+        return False
+    if d % 4 == 2 and len(primes) == 2:  # d = 2 p^k
+        higher = poly.higher
+        if (poly.a0 - 2 * sum(higher[::2]) + 2 * sum(higher[1::2])) % primes[1]:
+            return False
     try:
         _poly_divexact(poly.as_int_poly(), list(cyclotomic_polynomial(d)))
     except ArithmeticError:
@@ -534,7 +557,9 @@ def _cos_fixed(a: int, b: int, w: int) -> tuple[int, int]:
     k = 0
     while term:
         k += 1
-        term = term * x2 // ((2 * k - 1) * 2 * k << shift)
+        # floor(floor(t / 2^s) / c) = floor(t / (2^s c)) for t >= 0: shift
+        # first, then divide by the small c = (2k - 1) 2k.
+        term = (term * x2 >> shift) // ((2 * k - 1) * 2 * k)
         total += -term if k % 2 else term
     return total, 2 * k + 2 + err_pi + 1
 
@@ -559,13 +584,17 @@ def _tan2_enclosure(r: int, m: int, w: int) -> tuple[tuple[int, int], tuple[int,
     return (one + c - e, one - c + e), hi
 
 
-def _arc_at(seq, r: int, m: int) -> int:
+def _arc_at(seq, zero: int, r: int, m: int) -> int:
     """The arc holding u = tan^2(pi r/m), 0 < r < m/2 and D(u) != 0: the
-    number of roots of D below u.  The enclosure is refined until it holds
-    no root of D, as it must once it is narrower than u's distance to the
-    nearest root."""
-    (zero,) = _variations(seq, (0, 1))
-    w = 64
+    number of roots of D below u, for zero the sign variations of seq at 0.
+    The enclosure is refined until it holds no root of D, as it must once
+    it is narrower than u's distance to the nearest root.  It starts at
+    w = 24 + 2 log2(m) bits: the cosine c is off by e 2^-w (e a few
+    hundred) and 1 - c and 1 + c are at least about (pi/m)^2 / 2, so the
+    first enclosure is at most about 4 e m^2 2^-w / pi^2 < e 2^-25 of u
+    wide, below 2 10^-5 of u for m up to 10^18, and only a root of D
+    closer to u than that costs refinements."""
+    w = 24 + 2 * m.bit_length()
     while True:
         below, above = _variations(seq, *_tan2_enclosure(r, m, w))
         if below == above:
@@ -576,8 +605,13 @@ def _arc_at(seq, r: int, m: int) -> int:
 def _arc_counts(seq, jumps: int, m: int) -> list[int]:
     """For each arc, how many r in 1 .. (m-1)/2 have tan^2(pi r/m) on it,
     none of them a root of D.  The arc never decreases with r, so bisection
-    finds each boundary: O(jumps * log m) placements, none per r."""
+    finds each boundary: O(jumps * log m) placements, none per r, and none
+    at all without jumps, when every r is on arc 0."""
+    top = (m - 1) // 2
+    if not jumps or not top:
+        return [top] + [0] * jumps
     counts = [0] * (jumps + 1)
+    (zero,) = _variations(seq, (0, 1))
 
     def split(lo, arc_lo, hi, arc_hi):
         # r in (lo, hi]; arc_lo is the arc of lo (0 for lo = 0), arc_hi of hi.
@@ -587,13 +621,11 @@ def _arc_counts(seq, jumps: int, m: int) -> list[int]:
             counts[arc_hi] += 1
         else:
             mid = (lo + hi) // 2
-            arc_mid = _arc_at(seq, mid, m)
+            arc_mid = _arc_at(seq, zero, mid, m)
             split(lo, arc_lo, mid, arc_mid)
             split(mid, arc_mid, hi, arc_hi)
 
-    top = (m - 1) // 2
-    if top:
-        split(0, 0, top, _arc_at(seq, top, m))
+    split(0, 0, top, _arc_at(seq, zero, top, m))
     return counts
 
 
@@ -680,8 +712,9 @@ def _tl_signature_cached(matrix: SeifertMatrix, r, m):
     seq, jumps, _ = _jumps(matrix)
     if _alexander_vanishes_at(matrix.alexander, d, jumps):
         raise SingularValueError(r, m)
-    arc = jumps if 2 * k == d else _arc_at(seq, k, d)
-    return _arc_signature(matrix, arc)
+    if 2 * k == d or not jumps:
+        return _arc_signature(matrix, jumps)
+    return _arc_signature(matrix, _arc_at(seq, _variations(seq, (0, 1))[0], k, d))
 
 
 def tl_signature(matrix: SeifertMatrix, r: int, m: int) -> int:

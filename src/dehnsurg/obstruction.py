@@ -31,7 +31,7 @@ from ._value import Value, replace
 from .dedekind import dedekind_numerator
 from .hfcone import KnotFloerData, mirror_of, nu_of, rank_formula
 from .knots import SeifertMatrix, SingularValueError, SymLaurentPoly, delta2_at_one, sigma_total
-from .surgery import AmbientData, Slope, _casson_gordon, _casson_walker, _numerator
+from .surgery import AmbientData, Slope, _casson_gordon, _casson_walker, _casson_walker_at, _numerator
 
 __all__ = [
     "DIFFERENT_HOMOLOGY",
@@ -179,7 +179,7 @@ def _stages(record: KnotRecord, slopes, sign: int, us=None):
     lam, hf = _signed_inputs(record, sign)
     if delta2 != 0:
         keys = [u - 12 * q * delta2 for u, (_, q) in zip(us, slopes)]
-        yield BY_CASSON_WALKER, keys, lambda i: _casson_walker(lam, delta2, *slopes[i], us[i], 12 * ps[i])
+        yield BY_CASSON_WALKER, keys, _casson_walker(lam, delta2, slopes, us, keys)
     elif hf is not None:
         ranks = [_hf_rank(hf, p, q) for p, q in slopes]
         yield BY_HF_RANK, ranks, ranks.__getitem__
@@ -226,7 +226,7 @@ def full_invariants(record: KnotRecord, slope: Slope):
     """
     p, q = slope.p, slope.q
     u_den = _numerator(slope)  # one Euclid pass serves both formulas
-    lam = _casson_walker(record.ambient.lambda_value, record.delta2, p, q, *u_den)
+    lam = _casson_walker_at(record.ambient.lambda_value, record.delta2, p, q, *u_den)
     tau = None
     if record.seifert is not None:
         try:

@@ -159,11 +159,31 @@ def _numerator(slope: Slope) -> tuple[int, int]:
     return dedekind_numerator(slope.q, slope.p)
 
 
-def _casson_walker(lam, delta2: int, p: int, q: int, u: int, den: int) -> Fraction:
+def _casson_walker(lam, delta2: int, slopes, us, keys):
+    """The function i -> lambda(Y) + s(q,p) - (q/p) * delta2 for (p, q) =
+    slopes[i], s(q,p) = us[i]/den with den = 12|p|, and the integer key
+    keys[i] = us[i] - (den/p) q delta2, so that the value is lambda(Y) +
+    key/den: one fraction from the ratio n/d of lambda(Y), read once here.
+    A float lambda(Y) gives a float, as float + Fraction does."""
     if isinstance(lam, float):
-        return lam + u / den - q * delta2 / p
+
+        def value(i):
+            p, q = slopes[i]
+            return lam + us[i] / (12 * abs(p)) - q * delta2 / p
+
+        return value
     n, d = lam.as_integer_ratio()
-    return Fraction(den * n + (u - den // p * q * delta2) * d, den * d)  # den/p = +-12
+
+    def value(i):
+        den = 12 * abs(slopes[i][0])
+        return Fraction(den * n + keys[i] * d, den * d)
+
+    return value
+
+
+def _casson_walker_at(lam, delta2: int, p: int, q: int, u: int, den: int) -> Fraction:
+    """_casson_walker's value at the one surgery p/q, with s(q,p) = u/den."""
+    return _casson_walker(lam, delta2, ((p, q),), (u,), (u - den // p * q * delta2,))(0)  # den/p = +-12
 
 
 def _casson_gordon(sigma_p: int, p: int, u: int, den: int) -> Fraction:
@@ -179,7 +199,7 @@ def casson_walker_surgered(ambient: AmbientData, delta2: int, slope: Slope) -> F
     rational homology sphere).  One fraction from s(q,p) = u/(12|p|) and
     lambda(Y) = n/d; a float lambda(Y) gives a float, as float + Fraction does.
     """
-    return _casson_walker(ambient.lambda_value, delta2, slope.p, slope.q, *_numerator(slope))
+    return _casson_walker_at(ambient.lambda_value, delta2, slope.p, slope.q, *_numerator(slope))
 
 
 def casson_gordon_surgered(sigma_p: int, slope: Slope) -> Fraction:

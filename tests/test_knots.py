@@ -677,6 +677,156 @@ def test_tan2_enclosure_contains_true_value():
         assert hi is not None and hi - lo <= hi * Fraction(1, 1 << 100), (r, m)
 
 
+def _distinct_primes(n):
+    return [p for p in range(2, n + 1) if n % p == 0 and all(p % k for k in range(2, math.isqrt(p) + 1))]
+
+
+def _poly_jumps(poly):
+    """The positive roots of D(u) = (1 + u)^deg Delta(e^(i theta)), as _jumps
+    counts them, for a polynomial with no Seifert matrix."""
+    d = knots._cayley(poly.as_int_poly())[::2]
+    d[1::2] = [-x for x in d[1::2]]
+    return _roots_upto(_sturm(d), None)
+
+
+def test_cyclotomic_filter_divides_only_where_phi_d_at_plus_minus_one_allows(monkeypatch):
+    # Phi_d(1) = p for d = p^k and Phi_d(-1) = p for d = 2 p^k, p odd: no
+    # prime power reaches a division, nor d = 2 p^k with p not dividing
+    # Delta(-1), and every answer is plain division's, on seeded normalized
+    # symmetric polynomials and on their products with cyclotomic factors.
+    rng = random.Random(2507)
+    polys = []
+    for _ in range(3000):
+        higher = [rng.randint(-3, 3) for _ in range(rng.randint(0, 5))]
+        polys.append(SymLaurentPoly(1 - 2 * sum(higher), higher))
+    factors = [cyclotomic_polynomial(d) for d in (6, 10, 12, 15)]  # each with Phi_d(1) = 1
+    for _ in range(400):
+        c = rng.choice(polys[:200]).as_int_poly()
+        for phi in rng.sample(factors, rng.randint(1, 2)):
+            c = _pmul(c, list(phi))
+        half = len(c) // 2
+        polys.append(SymLaurentPoly(c[half], c[half + 1 :]))
+    for d in range(1, 201):
+        cyclotomic_polynomial(d)  # cached: the patch below sees only the test's divisions
+    divided = []
+    monkeypatch.setattr(knots, "_poly_divexact", lambda a, b: divided.append(b) or _poly_divexact(a, b))
+    reached, vanished = set(), set()
+    for poly in polys:
+        jumps, higher = _poly_jumps(poly), poly.higher
+        at_minus_one = poly.a0 - 2 * sum(higher[::2]) + 2 * sum(higher[1::2])
+        for d in range(3, 201):
+            divided.clear()
+            got = _alexander_vanishes_at(poly, d, jumps)
+            try:
+                _poly_divexact(poly.as_int_poly(), list(cyclotomic_polynomial(d)))
+                want = True
+            except ArithmeticError:
+                want = False
+            assert got == want, (poly, d)
+            if divided:
+                primes = _distinct_primes(d)
+                assert len(primes) > 1, (poly, d)
+                if d % 4 == 2 and len(primes) == 2:
+                    assert at_minus_one % primes[1] == 0, (poly, d)
+                reached.add(d)
+            if got:
+                vanished.add(d)
+    assert {6, 10, 12, 15} <= vanished and {6, 10, 12, 14, 15} <= reached
+
+
+def test_sigma_total_places_nothing_without_jumps(corpus_by_name, clear_caches, monkeypatch):
+    # With no jumps every r is on arc 0, so no root of unity is placed.
+    placed = []
+    enclosure = knots._tan2_enclosure
+    monkeypatch.setattr(knots, "_tan2_enclosure", lambda *args: placed.append(args) or enclosure(*args))
+    for name in ("figure_eight", "twist_6_1"):
+        a = corpus_by_name[name].seifert
+        clear_caches()
+        assert _jumps(a)[1] == 0
+        assert [sigma_total(a, m) for m in range(1, 61)] == [0] * 60
+    assert placed == []
+    sigma_total(corpus_by_name["trefoil_right"].seifert, 59)
+    assert placed
+
+
+def test_sigma_total_reads_the_sturm_count_at_zero_once_per_sum(corpus, clear_caches, monkeypatch):
+    # _arc_counts reads the sign variations at u = 0 once and shares them
+    # with every placement; _jumps and the arcs' signatures, cached per
+    # matrix, are computed first, as they read u = 0 on their own.
+    variations = knots._variations
+    zero_reads = []
+
+    def counting(seq, *points):
+        zero_reads.extend(x for x in points if x == (0, 1))
+        return variations(seq, *points)
+
+    monkeypatch.setattr(knots, "_variations", counting)
+    sums = 0
+    for record in corpus:
+        a = record.seifert
+        if a is None or record.name in ("figure_eight", "twist_6_1"):
+            continue
+        clear_caches()
+        jumps = _jumps(a)[1]
+        for arc in range(jumps + 1):
+            _arc_signature(a, arc)
+        for m in range(1, 61):
+            zero_reads.clear()
+            try:
+                sigma_total(a, m)
+            except SingularValueError:
+                assert zero_reads == [], (record.name, m)
+                continue
+            assert len(zero_reads) == (1 if jumps and m >= 3 else 0), (record.name, m)
+            sums += bool(zero_reads)
+    assert sums >= 5 * 50
+
+
+def test_cos_fixed_shifts_before_it_divides():
+    # floor(floor(t / 2^s) / c) = floor(t / (2^s c)) for t >= 0, so the
+    # fixed-point cosine equals the formula that divides once by c 2^(2w).
+    def floor_formula(a, b, w):
+        p, err_pi = knots._pi_fixed(w)
+        x = p * a // b
+        x2, shift = x * x, 2 * w
+        total = term = 1 << w
+        k = 0
+        while term:
+            k += 1
+            term = term * x2 // ((2 * k - 1) * 2 * k << shift)
+            total += -term if k % 2 else term
+        return total, 2 * k + 2 + err_pi + 1
+
+    rng = random.Random(2508)
+    for _ in range(10**4):
+        w = rng.randint(8, 300)
+        b = rng.choice([rng.randint(1, 60), rng.randint(61, 10**6), rng.randint(10**6, 10**18)])
+        a = rng.choice([0, b // 2, rng.randint(0, b // 2)])
+        assert knots._cos_fixed(a, b, w) == floor_formula(a, b, w), (a, b, w)
+
+
+def test_tan2_enclosure_at_the_first_width_contains_true_value():
+    # _arc_at's first enclosure has 24 + 2 log2(m) bits, not a fixed 64; on
+    # the cases of test_tan2_enclosure_contains_true_value it must still
+    # hold tan^2(pi r/m).
+    import mpmath
+
+    rng = random.Random(36)
+    big = 10**9 + 7
+    cases = [(1, 3), (1, 4), (2, 5), (499, 1000), (1, big), (big // 4, big), (big // 4 + 1, big)]
+    cases.append(((big - 1) // 2, big))
+    for _ in range(40):
+        m = rng.choice([rng.randint(3, 60), rng.randint(61, 10**6), rng.randint(10**6, 10**12)])
+        cases.append((rng.randint(1, (m - 1) // 2), m))
+    for r, m in cases:
+        w = 24 + 2 * m.bit_length()
+        with mpmath.workdps(100):
+            true = mpmath.tan(mpmath.pi * r / m) ** 2
+            lo, hi = (x if x is None else Fraction(*x) for x in _tan2_enclosure(r, m, w))
+            assert 0 <= lo and mpmath.mpf(lo.numerator) / lo.denominator <= true, (r, m, w)
+            assert hi is None or true <= mpmath.mpf(hi.numerator) / hi.denominator, (r, m, w)
+
+
 def test_integer_inertia_matches_fraction_oracle():
     rng = random.Random(37)
     for trial in range(400):
