@@ -13,10 +13,7 @@ from fractions import Fraction
 
 from ._value import Value
 
-Rational = Fraction
-
 __all__ = [
-    "Rational",
     "LensSpace",
     "sawtooth",
     "dedekind_numerator",

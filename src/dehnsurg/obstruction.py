@@ -178,8 +178,7 @@ def _stages(record: KnotRecord, slopes, sign: int, us=None):
     delta2 = record.delta2
     lam, hf = _signed_inputs(record, sign)
     if delta2 != 0:
-        keys = [u - 12 * q * delta2 for u, (_, q) in zip(us, slopes)]
-        yield BY_CASSON_WALKER, keys, _casson_walker(lam, delta2, slopes, us, keys)
+        yield BY_CASSON_WALKER, *_casson_walker(lam, delta2, slopes, us)
     elif hf is not None:
         ranks = [_hf_rank(hf, p, q) for p, q in slopes]
         yield BY_HF_RANK, ranks, ranks.__getitem__
@@ -225,12 +224,12 @@ def full_invariants(record: KnotRecord, slope: Slope):
     in ``dehnsurg hf-rank`` and in the tests).
     """
     p, q = slope.p, slope.q
-    u_den = _numerator(slope)  # one Euclid pass serves both formulas
-    lam = _casson_walker_at(record.ambient.lambda_value, record.delta2, p, q, *u_den)
+    u, den = _numerator(slope)  # one Euclid pass serves both formulas
+    lam = _casson_walker_at(record.ambient.lambda_value, record.delta2, p, q, u)
     tau = None
     if record.seifert is not None:
         try:
-            tau = _casson_gordon(sigma_total(record.seifert, abs(p)), p, *u_den)
+            tau = _casson_gordon(sigma_total(record.seifert, abs(p)), p, u, den)
         except SingularValueError:
             pass
     rank = _hf_rank(record.hf, p, q) if record.hf is not None else None

@@ -120,11 +120,17 @@ class LongitudeData(Value):
 
 
 class AmbientData(Value):
-    """Casson-Walker invariant of the ambient manifold, supplied as data."""
+    """Casson-Walker invariant of the ambient manifold, supplied as data.
+
+    lambda_value is exact, an int or a Fraction; anything else, a bool
+    included, raises ValueError when the data is built.
+    """
 
     _fields = ("lambda_value", "name")
 
     def __init__(self, lambda_value: Fraction = Fraction(0), name: str = "S3"):
+        if type(lambda_value) is bool or not isinstance(lambda_value, (int, Fraction)):
+            raise ValueError(f"lambda_value must be an int or a Fraction, got {lambda_value!r}")
         object.__setattr__(self, "lambda_value", lambda_value)
         object.__setattr__(self, "name", name)
 
@@ -159,31 +165,24 @@ def _numerator(slope: Slope) -> tuple[int, int]:
     return dedekind_numerator(slope.q, slope.p)
 
 
-def _casson_walker(lam, delta2: int, slopes, us, keys):
-    """The function i -> lambda(Y) + s(q,p) - (q/p) * delta2 for (p, q) =
-    slopes[i], s(q,p) = us[i]/den with den = 12|p|, and the integer key
-    keys[i] = us[i] - (den/p) q delta2, so that the value is lambda(Y) +
-    key/den: one fraction from the ratio n/d of lambda(Y), read once here.
-    A float lambda(Y) gives a float, as float + Fraction does."""
-    if isinstance(lam, float):
-
-        def value(i):
-            p, q = slopes[i]
-            return lam + us[i] / (12 * abs(p)) - q * delta2 / p
-
-        return value
+def _casson_walker(lam, delta2: int, slopes, us):
+    """The integer keys u - (den/p) q delta2 of the surgeries (p, q) =
+    slopes[i], s(q,p) = u/den with u = us[i] and den = 12|p|, and the
+    function i -> lambda(Y) + s(q,p) - (q/p) delta2 = lambda(Y) + key/den:
+    one fraction from the ratio n/d of lambda(Y), read once here."""
+    keys = [u - (12 if p > 0 else -12) * q * delta2 for u, (p, q) in zip(us, slopes)]  # den/p
     n, d = lam.as_integer_ratio()
 
     def value(i):
         den = 12 * abs(slopes[i][0])
         return Fraction(den * n + keys[i] * d, den * d)
 
-    return value
+    return keys, value
 
 
-def _casson_walker_at(lam, delta2: int, p: int, q: int, u: int, den: int) -> Fraction:
-    """_casson_walker's value at the one surgery p/q, with s(q,p) = u/den."""
-    return _casson_walker(lam, delta2, ((p, q),), (u,), (u - den // p * q * delta2,))(0)  # den/p = +-12
+def _casson_walker_at(lam, delta2: int, p: int, q: int, u: int) -> Fraction:
+    """_casson_walker's value at the one surgery p/q, with s(q,p) = u/(12|p|)."""
+    return _casson_walker(lam, delta2, ((p, q),), (u,))[1](0)
 
 
 def _casson_gordon(sigma_p: int, p: int, u: int, den: int) -> Fraction:
@@ -197,9 +196,9 @@ def casson_walker_surgered(ambient: AmbientData, delta2: int, slope: Slope) -> F
     -s(q,p)/2 + (q/2p) Delta''(1)); for example S^3_{+1}(T_R), which is
     -Sigma(2,3,5), gives -2.  Requires p != 0 (the result must be a
     rational homology sphere).  One fraction from s(q,p) = u/(12|p|) and
-    lambda(Y) = n/d; a float lambda(Y) gives a float, as float + Fraction does.
+    lambda(Y) = n/d.
     """
-    return _casson_walker_at(ambient.lambda_value, delta2, slope.p, slope.q, *_numerator(slope))
+    return _casson_walker_at(ambient.lambda_value, delta2, slope.p, slope.q, _numerator(slope)[0])
 
 
 def casson_gordon_surgered(sigma_p: int, slope: Slope) -> Fraction:

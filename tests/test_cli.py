@@ -481,6 +481,7 @@ def test_sweep_rejects_trivial_mark_on_a_nontrivial_alexander(tmp_path, capsys):
         ("hf", {"g": 0, "a": [True], "v_threshold": 0}),
         ("hf", {"g": 0, "a": [1], "v_threshold": False}),
         ("hf", [0, [1], 0]),
+        ("lambda_ambient", 0.5),
     ],
 )
 def test_sweep_rejects_mistyped_record_fields(tmp_path, capsys, field, value):

@@ -4,6 +4,7 @@ import json
 import math
 import random
 from collections import Counter
+from decimal import Decimal
 from dehnsurg import replace
 from fractions import Fraction
 from functools import partial
@@ -646,11 +647,10 @@ def test_full_invariants_never_runs_the_cone(corpus, monkeypatch):
 
 def test_casson_walker_witness_is_the_mirrored_surgery_value(corpus_by_name):
     # distinguish's Casson-Walker witnesses are casson_walker_surgered on the
-    # mirrored surgeries, in value and in type: a Fraction from an exact
-    # lambda, a float from a float one.
+    # mirrored surgeries, in value and in type: a Fraction.
     decided = set()
     for name in ("trefoil_right", "figure_eight", "torus_2_5"):
-        for lam in (0, 3, Fraction(-5, 7), 0.5):
+        for lam in (0, 3, Fraction(-5, 7)):
             record = replace(corpus_by_name[name], ambient=ds.AmbientData(lam, "Y"))
             for pair in slope_pairs_same_p(4, 5):
                 for s1, s2 in (pair, tuple(s.negated() for s in pair)):
@@ -663,7 +663,23 @@ def test_casson_walker_witness_is_the_mirrored_surgery_value(corpus_by_name):
                         want = casson_walker_surgered(ambient, record.delta2, s if sign > 0 else s.negated())
                         assert got == want and type(got) is type(want), (name, lam, s1, s2)
                     decided.add((sign, type(v.value1)))
-    assert decided == {(sign, kind) for sign in (1, -1) for kind in (Fraction, float)}
+    assert decided == {(1, Fraction), (-1, Fraction)}
+
+
+def test_ambient_lambda_is_exact_down_to_witnesses_far_below_float_spacing(corpus_by_name):
+    # lambda(Y) is an int or a Fraction, refused at construction otherwise:
+    # the two Casson-Walker witnesses below differ by 2/p, far below the
+    # spacing of floats near them, and a float lambda would tie them.
+    for lam in (0.5, "1/2", True, Decimal("0.5")):
+        with pytest.raises(ValueError, match="lambda_value"):
+            ds.AmbientData(lam, "Y")
+    for lam in (0, 2, Fraction(1, 2)):
+        assert ds.AmbientData(lam, "Y").lambda_value == lam
+    record = replace(corpus_by_name["trefoil_right"], ambient=ds.AmbientData(Fraction(1, 2), "Y"))
+    p = 10**12 + 10**6 - 1
+    v = distinguish(record, Slope(p, 10**6), Slope(p, 10**6 + 1))
+    assert v.tag == BY_CASSON_WALKER
+    assert v.value1 - v.value2 == Fraction(2, p)
 
 
 def test_ambient_record(tmp_path):

@@ -88,10 +88,10 @@ def test_casson_gordon_examples():
 def test_surgery_formulas_match_the_fraction_chains():
     # Each value is built as one fraction from Dedekind integers; it must
     # equal the chain of Fraction operations that defines it, in value and
-    # in type (a float lambda gives a float, as float + Fraction does).
+    # in type.
     slopes = [Slope(1, 0)]
     slopes += [Slope(p, q) for p in range(-60, 61) for q in range(1, 61) if p and math.gcd(p, q) == 1]
-    ambients = [AmbientData(lam, "Y") for lam in (0, 3, Fraction(-5, 7), 0.5)]
+    ambients = [AmbientData(lam, "Y") for lam in (0, 3, Fraction(-5, 7))]
     for slope in slopes:
         p, q = slope.p, slope.q
         s, q_over_p = dedekind_sum(q, p), Fraction(q, p)
@@ -160,7 +160,7 @@ def test_integrality_of_surgered_casson_walker():
 def test_longitude_and_ambient_helpers():
     with pytest.raises(ValueError):
         LongitudeData(0)
-    amb = AmbientData(Fraction(1, 2), "Sigma(2,3,5)")
+    amb = AmbientData(Fraction(1, 2), "Y")
     neg = amb.negated()
     assert neg.lambda_value == Fraction(-1, 2)
-    assert neg.name == "-Sigma(2,3,5)"
+    assert neg.name == "-Y"
