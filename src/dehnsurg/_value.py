@@ -7,9 +7,9 @@ A subclass lists its fields in ``_fields``, in constructor order, and its
 records or hot paths build it, else by ``_set_fields``, which is slower.
 Instances refuse assignment and deletion, compare and hash by those fields
 within one class only, print as ``Name(field=value, ...)``, and copy,
-deep-copy and pickle through their ``__dict__``; an attribute set but not
-listed (SeifertMatrix.alexander, KnotRecord.delta2) is derived: it takes no
-part in equality, hash or repr.
+deep-copy and pickle through their ``__dict__``.  An attribute set but not
+listed (SeifertMatrix.alexander, KnotRecord.delta2) is derived: only
+``__init__`` computes it, and it takes no part in equality, hash or repr.
 """
 
 from operator import attrgetter

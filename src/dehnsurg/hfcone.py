@@ -99,13 +99,6 @@ class KnotFloerData(Value):
         """Total rank above the minimum: sum_s (a_s - 1)."""
         return sum(r - 1 for r in self.ranks)
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "KnotFloerData":
-        try:
-            return cls(d["g"], d["a"], d["v_threshold"])
-        except KeyError as e:
-            raise ValueError(f"hf data missing key {e}") from None
-
 
 def nu_of(data: KnotFloerData) -> int:
     """Least s at which the induced v-map is nonzero."""
@@ -221,13 +214,12 @@ def build_cone(data: KnotFloerData, slope: Slope, spinc: int, extra_window: int 
     return ConeMatrix(spinc, tuple(a_indices), tuple(a_dims), tuple(b_indices), tuple(columns))
 
 
-def cone_rank_oracle(data: KnotFloerData, slope: Slope, verify_stability: bool = True) -> int:
+def cone_rank_oracle(data: KnotFloerData, slope: Slope) -> int:
     """Total hat-homology rank of the surgered manifold, summed over Spin^c.
 
     The cone of each Spin^c class is build_cone's truncated matrix, ranked
-    without being built.  With verify_stability the computation is
-    repeated on a strictly larger window and the two answers are required
-    to agree.
+    without being built.  Every call ranks twice, on build_cone's window W
+    and on W + 2, and raises ArithmeticError unless the two answers agree.
 
     Only the classes holding some t in [-gq, (g+1)q) are ranked; every
     other class has rank exactly one.  In such a class every A_t has rank
@@ -246,12 +238,9 @@ def cone_rank_oracle(data: KnotFloerData, slope: Slope, verify_stability: bool =
     with a one-dimensional cokernel.  Either way the homology has rank one.
     """
     total = _cone_rank(data, slope, 0)
-    if verify_stability:
-        wider = _cone_rank(data, slope, 2)
-        if wider != total:
-            raise ArithmeticError(
-                f"truncation instability: rank {total} vs {wider} on a wider window"
-            )
+    wider = _cone_rank(data, slope, 2)
+    if wider != total:
+        raise ArithmeticError(f"truncation instability: rank {total} vs {wider} on a wider window")
     return total
 
 

@@ -208,7 +208,7 @@ class SeifertMatrix(Value):
             raise ValueError("Seifert matrix must have even size")
         object.__setattr__(self, "alexander", alexander_from_seifert(self))
 
-    # Value's generic methods, written out: four caches are keyed on matrices.
+    # Value's generic methods, written out: three caches are keyed on matrices.
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return self.entries == other.entries
@@ -222,17 +222,8 @@ class SeifertMatrix(Value):
         return len(self.entries)
 
     def mirror(self) -> "SeifertMatrix":
-        """Seifert matrix of the mirror knot: -A^T."""
-        # -A^T - (-A^T)^T = A - A^T: the mirror has this matrix's pairing,
-        # which is already known to be unimodular, so __init__'s
-        # determinant check is skipped.  Its D(T) = det(TA - A^T) is
-        # det(A - T A^T) (transpose, then negate all n rows, n even), so
-        # Delta is this matrix's.
-        mirrored = object.__new__(SeifertMatrix)
-        entries = tuple(tuple(-x for x in column) for column in zip(*self.entries))
-        object.__setattr__(mirrored, "entries", entries)
-        object.__setattr__(mirrored, "alexander", self.alexander)
-        return mirrored
+        """Seifert matrix of the mirror knot, -A^T, validated like any matrix."""
+        return SeifertMatrix([[-x for x in column] for column in zip(*self.entries)])
 
 
 class SymLaurentPoly(Value):
@@ -380,9 +371,9 @@ def _prime_factors(n: int) -> list[int]:
     return primes
 
 
-def _totient(n: int, primes=None) -> int:
-    """Euler's phi, from the distinct primes of n (_prime_factors(n) unless given)."""
-    for p in _prime_factors(n) if primes is None else primes:
+def _totient(n: int, primes) -> int:
+    """Euler's phi, from the distinct primes of n."""
+    for p in primes:
         n -= n // p
     return n
 
@@ -702,8 +693,19 @@ def _signature(sym, half: int) -> int:
     return (pos - neg) // half
 
 
-@lru_cache(maxsize=None)
-def _tl_signature_cached(matrix: SeifertMatrix, r, m):
+def tl_signature(matrix: SeifertMatrix, r: int, m: int) -> int:
+    """Tristram-Levine signature at xi = exp(2*pi*i*r/m), 0 < r < m.
+
+    Exact: xi is placed on its arc between jumps by Sturm counts at the
+    ends of a rigorous rational enclosure of tan^2(pi*r/m), refined until
+    both counts agree, and the arc's signature is 0 on arc 0, forced by
+    the jumps on a staircase, or else the pivot signs of a fraction-free
+    integer congruence reduction (see _arc_signature).  Raises
+    SingularValueError when the Alexander polynomial vanishes at xi.  No
+    memo per (r, m): only _jumps and _arc_signature cache, per matrix.
+    """
+    if not 0 < r < m:
+        raise ValueError("need 0 < r < m")
     if not matrix.entries:
         return 0
     g = math.gcd(r, m)
@@ -715,21 +717,6 @@ def _tl_signature_cached(matrix: SeifertMatrix, r, m):
     if 2 * k == d or not jumps:
         return _arc_signature(matrix, jumps)
     return _arc_signature(matrix, _arc_at(seq, _variations(seq, (0, 1))[0], k, d))
-
-
-def tl_signature(matrix: SeifertMatrix, r: int, m: int) -> int:
-    """Tristram-Levine signature at xi = exp(2*pi*i*r/m), 0 < r < m.
-
-    Exact: xi is placed on its arc between jumps by Sturm counts at the
-    ends of a rigorous rational enclosure of tan^2(pi*r/m), refined until
-    both counts agree, and the arc's signature is 0 on arc 0, forced by
-    the jumps on a staircase, or else the pivot signs of a fraction-free
-    integer congruence reduction (see _arc_signature).  Raises
-    SingularValueError when the Alexander polynomial vanishes at xi.
-    """
-    if not 0 < r < m:
-        raise ValueError("need 0 < r < m")
-    return _tl_signature_cached(matrix, r, m)
 
 
 def sigma_total(matrix: SeifertMatrix, m: int) -> int:

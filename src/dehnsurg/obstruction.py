@@ -475,7 +475,9 @@ def _record_from_dict(raw: dict, context: str) -> KnotRecord:
         if not all(map(_is_int, scalars)) or not isinstance(ranks, list) or not all(map(_is_int, ranks)):
             fail("bad hf data: 'g' and 'v_threshold' must be integers and 'a' a list of integers")
         try:
-            hf = KnotFloerData.from_json_dict(spec)
+            hf = KnotFloerData(spec["g"], spec["a"], spec["v_threshold"])
+        except KeyError as e:
+            fail(f"bad hf data: hf data missing key {e}")
         except ValueError as e:
             fail(f"bad hf data: {e}")
     tau = raw.get("tau")

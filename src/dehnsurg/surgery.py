@@ -115,8 +115,12 @@ class LongitudeData(Value):
         if d < 1:
             raise ValueError("longitude multiple d must be >= 1")
 
-    def as_class(self) -> PeripheralClass:
-        return PeripheralClass(0, self.d)
+
+def _exact(name: str, value):
+    """value if it is an int or a Fraction, else (a bool too) ValueError naming it."""
+    if type(value) is bool or not isinstance(value, (int, Fraction)):
+        raise ValueError(f"{name} must be an int or a Fraction, got {value!r}")
+    return value
 
 
 class AmbientData(Value):
@@ -129,9 +133,7 @@ class AmbientData(Value):
     _fields = ("lambda_value", "name")
 
     def __init__(self, lambda_value: Fraction = Fraction(0), name: str = "S3"):
-        if type(lambda_value) is bool or not isinstance(lambda_value, (int, Fraction)):
-            raise ValueError(f"lambda_value must be an int or a Fraction, got {lambda_value!r}")
-        object.__setattr__(self, "lambda_value", lambda_value)
+        object.__setattr__(self, "lambda_value", _exact("lambda_value", lambda_value))
         object.__setattr__(self, "name", name)
 
     def negated(self) -> "AmbientData":
@@ -146,14 +148,12 @@ def walker_correction(a: PeripheralClass, b: PeripheralClass, l: LongitudeData) 
     """
     if not (a.is_primitive() and b.is_primitive()):
         raise ValueError("surgery classes must be primitive")
-    lc = l.as_class()
-    al = pairing(a, lc)
-    bl = pairing(b, lc)
+    d = l.d
+    al, bl = d * a.mu_coeff, d * b.mu_coeff  # <c, l> = d <c, y> = d c.mu_coeff
     if al == 0 or bl == 0:
         raise ValueError("classes pairing to zero with the longitude are not allowed")
     # <x, c> = c.lambda_coeff and <y, c> = -c.mu_coeff.
     term = -dedekind_sum(a.lambda_coeff, -a.mu_coeff) + dedekind_sum(b.lambda_coeff, -b.mu_coeff)
-    d = l.d
     term += Fraction(d * d - 1, 12) * Fraction(pairing(a, b), al * bl)
     return term
 
@@ -214,10 +214,8 @@ def walker_general(
     b: PeripheralClass,
     l: LongitudeData,
 ) -> Fraction:
-    """Walker's framed surgery formula:
+    """Walker's framed surgery formula, for lambda_at_b an int or a Fraction:
     lambda(K_a) = lambda(K_b) + tau(a,b;l) + (<a,b>/(<a,l><b,l>)) * delta2."""
-    corr = walker_correction(a, b, l)
-    lc = l.as_class()
-    al = pairing(a, lc)
-    bl = pairing(b, lc)
-    return Fraction(lambda_at_b) + corr + Fraction(pairing(a, b), al * bl) * delta2
+    lam = _exact("lambda_at_b", lambda_at_b)
+    al_bl = l.d * l.d * a.mu_coeff * b.mu_coeff  # <a,l><b,l>, as in walker_correction
+    return lam + walker_correction(a, b, l) + Fraction(pairing(a, b), al_bl) * delta2

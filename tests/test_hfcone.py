@@ -8,8 +8,11 @@ from dehnsurg import (
     LSpaceForm,
     Slope,
     build_cone,
+    bundled_corpus_path,
+    cli,
     cone_rank_oracle,
     delta_dimension,
+    hfcone,
     lspace_model,
     mirror_of,
     nu_of,
@@ -167,9 +170,7 @@ def test_oracle_equals_formula_moderate_sweep():
     ]
     for data in datasets:
         for slope in reduced_slopes(5, 4):
-            assert cone_rank_oracle(data, slope, verify_stability=False) == rank_formula(
-                data, slope
-            ), (data, slope)
+            assert cone_rank_oracle(data, slope) == rank_formula(data, slope), (data, slope)
 
 
 def test_mirror_rank_identity_on_nonpositive_thresholds():
@@ -181,8 +182,8 @@ def test_mirror_rank_identity_on_nonpositive_thresholds():
     datasets = [UNKNOT, FIG8] + [d for d in (random_floer_data(rng) for _ in range(60)) if nu_of(d) <= 0]
     for data in datasets[:30]:
         for slope in reduced_slopes(4, 3):
-            lhs = cone_rank_oracle(data, slope, verify_stability=False)
-            rhs = cone_rank_oracle(mirror_of(data), slope.negated(), verify_stability=False)
+            lhs = cone_rank_oracle(data, slope)
+            rhs = cone_rank_oracle(mirror_of(data), slope.negated())
             assert lhs == rhs, (data, slope)
 
 
@@ -219,11 +220,19 @@ def test_nu_tau_bracket_on_corpus(corpus):
             assert nu_of(record.hf) == record.nu
 
 
-def test_json_round_trip():
-    data = KnotFloerData.from_json_dict({"g": 1, "a": [1, 3, 1], "v_threshold": 0})
-    assert data == FIG8
-    with pytest.raises(ValueError):
-        KnotFloerData.from_json_dict({"g": 1, "a": [1, 3, 1]})
+def test_truncation_instability_is_an_error(monkeypatch, capsys):
+    # Every oracle call ranks on W and on W + 2; make the wider window
+    # disagree and both the oracle and hf-rank must refuse the answer.
+    rank = hfcone._cone_rank
+    monkeypatch.setattr(hfcone, "_cone_rank", lambda d, s, extra: rank(d, s, extra) + (extra == 2))
+    message = "truncation instability: rank 3 vs 4 on a wider window"
+    with pytest.raises(ArithmeticError) as info:
+        cone_rank_oracle(FIG8, Slope(1, 1))
+    assert str(info.value) == message
+    argv = ["hf-rank", "--knot", str(bundled_corpus_path()), "--name", "figure_eight", "--slope", "1/1"]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
 def test_window_matches_the_old_window():
@@ -262,7 +271,6 @@ def test_oracle_equals_the_bitmask_sum(model_corpus):
     for data in model_corpus:
         for slope in reduced_slopes(8, 8):
             want = bitmask_sum(data, slope)
-            assert cone_rank_oracle(data, slope, verify_stability=False) == want, (data, slope)
             assert cone_rank_oracle(data, slope) == want, (data, slope)
 
 

@@ -820,6 +820,7 @@ def test_load_knots_error_reporting(tmp_path):
             {"g": 1, "a": [1.5, 1, 1.2], "v_threshold": 1},
             "bad hf data: 'g' and 'v_threshold' must be integers and 'a' a list of integers",
         ),
+        ("hf", {"g": 1, "a": [1, 3, 1]}, "bad hf data: hf data missing key 'v_threshold'"),
     ],
 )
 def test_loader_messages_for_non_integral_and_invalid_fields(tmp_path, field, value, message):

@@ -132,6 +132,21 @@ def test_walker_general_trivial_cases():
     assert walker_general(0, 2, PeripheralClass(1, 1), MERIDIAN, STD_LONGITUDE) == -2
 
 
+@pytest.mark.parametrize("lam", [0.1, "1/3", True])
+def test_walker_general_refuses_inexact_lambda(lam):
+    # Same check as AmbientData: a float, a string or a bool is never read as lambda.
+    with pytest.raises(ValueError) as info:
+        walker_general(lam, 0, MERIDIAN, MERIDIAN, STD_LONGITUDE)
+    assert str(info.value) == f"lambda_at_b must be an int or a Fraction, got {lam!r}"
+
+
+@pytest.mark.parametrize("lam", [0, 5, Fraction(3, 4)])
+def test_walker_general_adds_exact_lambda_as_given(lam):
+    # <a, b> = 0 and the two Dedekind terms cancel, so the value is lambda.
+    value = walker_general(lam, 0, MERIDIAN, MERIDIAN, STD_LONGITUDE)
+    assert value == lam and type(value) is Fraction
+
+
 def test_equivalent_slope_sanity():
     # q1*q2 = 1 (mod p) gives equal lambda and tau when delta2 = 0 and the
     # signature inputs agree (the unknot's truly cosmetic pairs).
