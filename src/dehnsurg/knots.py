@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from ._value import Value
 
@@ -186,14 +186,14 @@ class SeifertMatrix(Value):
     """Square integer matrix presenting a knot; the 0x0 matrix is the unknot.
 
     Validity requires integer entries, even size and det(A - A^T) = +-1
-    (a unimodular Seifert pairing).  A valid matrix carries its normalized
-    Alexander polynomial, derived once here and shared by every signature;
-    det(A - A^T) is the lowest digit of the same packed determinant (see
-    alexander_from_seifert), so validation costs no elimination of its own.
+    (a unimodular Seifert pairing).  __init__ runs the one packed
+    determinant of alexander_from_seifert, keeps its digits and checks the
+    lowest, det(A - A^T), so validation costs no elimination of its own.
+    The normalized Alexander polynomial, shared by every signature, is
+    derived from those digits on its first read.
     """
 
-    _fields = ("entries",)  # alexander is derived: not compared, not shown
-    alexander: SymLaurentPoly
+    _fields = ("entries",)  # _digits and alexander are derived: not compared, not shown
 
     def __init__(self, entries):
         try:
@@ -206,7 +206,14 @@ class SeifertMatrix(Value):
             raise ValueError("Seifert matrix must be square")
         if n % 2 != 0:
             raise ValueError("Seifert matrix must have even size")
-        object.__setattr__(self, "alexander", alexander_from_seifert(self))
+        digits = _packed_alexander(rows)
+        if abs(digits[0]) != 1:
+            raise ValueError(f"det(A - A^T) = {digits[0]}, not +-1: not a valid Seifert pairing")
+        object.__setattr__(self, "_digits", tuple(digits))
+
+    @cached_property
+    def alexander(self) -> SymLaurentPoly:
+        return alexander_from_seifert(self)
 
     # Value's generic methods, written out: three caches are keyed on matrices.
     def __eq__(self, other):
@@ -324,24 +331,23 @@ def alexander_from_seifert(matrix: SeifertMatrix) -> SymLaurentPoly:
     """Normalized Alexander polynomial: D(T) = det(A - T A^T) scaled to be
     symmetric and equal to 1 at T = 1.
 
-    One packed determinant gives E(X) = det(K + X S) = sum_j e_j X^(2j),
-    whose lowest digit e_0 is det(A - A^T): ValueError unless it is +-1.
-    Then 2^n D(T) = sum_j e_j (1 - T)^(2j) (1 + T)^(n - 2j), the Cayley
-    image of E (see _cayley), palindromic as every power of X is even.
+    The packed determinant that SeifertMatrix.__init__ keeps gives E(X) =
+    det(K + X S) = sum_j e_j X^(2j); its lowest digit e_0 = det(A - A^T)
+    is +-1 there.  Then 2^n D(T) = sum_j e_j (1 - T)^(2j) (1 + T)^(n - 2j),
+    the Cayley image of E (see _cayley), palindromic as every power of X
+    is even.
 
     A digit off by d adds d (1 - T)^(2j) (1 + T)^(n - 2j), constant term d,
     to 2^n D: the division by 2^n is inexact unless 2^n divides d, and
-    then D(0) is off det A by d/2^n.  Either raises ArithmeticError.
+    then D(0) is off det A by d/2^n.  Either raises ArithmeticError, here,
+    on the polynomial's first read.
     """
     a = matrix.entries
     n = len(a)
     if n == 0:
         return SymLaurentPoly(1)
-    e = _packed_alexander(a)
-    if abs(e[0]) != 1:
-        raise ValueError(f"det(A - A^T) = {e[0]}, not +-1: not a valid Seifert pairing")
     c = [0] * (n + 1)
-    c[::2] = e  # E, low degree first
+    c[::2] = matrix._digits  # E, low degree first
     c = _cayley(c)  # 2^n D(T)
     if any(x & ((1 << n) - 1) for x in c):
         raise ArithmeticError("2^n det(A - T A^T) is not divisible by 2^n; the determinant is wrong")

@@ -23,6 +23,7 @@ import json
 import math
 from collections import Counter, namedtuple
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, combinations, groupby, islice, repeat
 from operator import itemgetter
 from pathlib import Path
@@ -80,18 +81,18 @@ class Verdict(Value):
 class KnotRecord(Value):
     """A knot with whatever invariant inputs are on file for it.
 
-    The Alexander polynomial is always populated (derived from the Seifert
-    matrix when not given directly); Seifert and knot Floer data are
-    optional, as are the tau/nu annotations used for cross-checks.  Only
-    Delta = 1 can be marked trivial."""
+    The Alexander polynomial is given, or None: then it and Delta''(1) are
+    taken from the Seifert matrix on first read, and a record with neither
+    raises ValueError.  Seifert and knot Floer data are optional, as are
+    the tau/nu annotations used for cross-checks.  Only Delta = 1 can be
+    marked trivial, which __init__ checks by reading Delta."""
 
     _fields = ("name", "alexander", "seifert", "hf", "ambient", "tau", "nu", "trivial")
-    delta2: int  # Delta''(1), derived: not compared, not shown
 
     def __init__(
         self,
         name: str,
-        alexander: SymLaurentPoly,
+        alexander: SymLaurentPoly | None,
         seifert: SeifertMatrix | None = None,
         hf: KnotFloerData | None = None,
         ambient: AmbientData = AmbientData(),
@@ -100,16 +101,28 @@ class KnotRecord(Value):
         trivial: bool = False,
     ):
         object.__setattr__(self, "name", name)
-        object.__setattr__(self, "alexander", alexander)
+        if alexander is not None:
+            object.__setattr__(self, "alexander", alexander)
+            object.__setattr__(self, "delta2", delta2_at_one(alexander))
+        elif seifert is None:
+            raise ValueError("need an Alexander polynomial or a Seifert matrix")
         object.__setattr__(self, "seifert", seifert)
         object.__setattr__(self, "hf", hf)
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "tau", tau)
         object.__setattr__(self, "nu", nu)
         object.__setattr__(self, "trivial", trivial)
-        object.__setattr__(self, "delta2", delta2_at_one(alexander))
-        if trivial and alexander.degree:
-            raise ValueError(f"'trivial' is true but the Alexander polynomial is {alexander}, not 1")
+        if trivial and self.alexander.degree:
+            raise ValueError(f"'trivial' is true but the Alexander polynomial is {self.alexander}, not 1")
+
+    @cached_property
+    def alexander(self) -> SymLaurentPoly:
+        return self.seifert.alexander
+
+    @cached_property
+    def delta2(self) -> int:
+        """Delta''(1), derived: not compared, not shown."""
+        return delta2_at_one(self.alexander)
 
 
 def mirror_record(record: KnotRecord) -> KnotRecord:
@@ -457,14 +470,11 @@ def _record_from_dict(raw: dict, context: str) -> KnotRecord:
             fail(f"bad alexander polynomial: {e}")
     if seifert is None and alexander is None:
         fail("need at least one of 'seifert_matrix' or 'alexander'")
-    if seifert is not None:
-        derived = seifert.alexander
-        if alexander is not None and alexander != derived:
-            fail(
-                f"alexander polynomial {alexander} does not match the one "
-                f"derived from the Seifert matrix, {derived}"
-            )
-        alexander = derived
+    if seifert is not None and alexander is not None and alexander != seifert.alexander:
+        fail(
+            f"alexander polynomial {alexander} does not match the one "
+            f"derived from the Seifert matrix, {seifert.alexander}"
+        )
     hf = None
     if "hf" in raw:
         spec = raw["hf"]

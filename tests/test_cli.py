@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -15,6 +16,7 @@ import pytest
 import dehnsurg as ds
 from dehnsurg import cli, knots, obstruction
 from dehnsurg.cli import main
+from test_knots import random_seifert
 from test_obstruction import SWEEP_CSV_SHA256
 
 CORPUS = str(ds.bundled_corpus_path())
@@ -495,6 +497,82 @@ def test_sweep_rejects_mistyped_record_fields(tmp_path, capsys, field, value):
     assert code == 1 and out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {corpus}: record 0 (k): "), err
+
+
+def _seifert_corpus(tmp_path):
+    """Six Seifert records, k0 and k1 also giving their Alexander polynomials."""
+    rng = random.Random(28)
+    records = [
+        {"name": f"k{i}", "seifert_matrix": [list(row) for row in random_seifert(rng, genus).entries]}
+        for i, genus in enumerate((1, 2, 1, 3, 2, 1))
+    ]
+    for record in records[:2]:
+        poly = ds.SeifertMatrix(record["seifert_matrix"]).alexander
+        record["alexander"] = {"a0": poly.a0, "a": list(poly.higher)}
+    path = tmp_path / "six.json"
+    path.write_text(json.dumps(records))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv, derived",
+    [
+        (("alexander", "--name", "k3"), 3),
+        (("casson-walker", "--name", "k3", "--slope", "1/2"), 3),
+        (("sweep", "--pmax", "2", "--qmax", "2"), 6),
+    ],
+)
+def test_each_record_derives_its_alexander_only_when_read(tmp_path, capsys, monkeypatch, argv, derived):
+    # Loading derives the polynomials that k0 and k1 give, to match them;
+    # the queried record's is derived when the command reads it, the other
+    # three never.  sweep reads every record.
+    path = _seifert_corpus(tmp_path)
+    calls = []
+    original = knots.alexander_from_seifert
+
+    def counting(matrix):
+        calls.append(matrix)
+        return original(matrix)
+
+    monkeypatch.setattr(knots, "alexander_from_seifert", counting)
+    if argv[0] == "sweep":
+        argv += ("--out", str(tmp_path / "r.csv"))
+    code, _, err = run(capsys, argv[0], "--knot", path, *argv[1:])
+    assert code == 0 and err == ""
+    assert len(calls) == derived
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ({"seifert_matrix": [[0, 1], [0, "x"]]}, "bad seifert_matrix: need a list of rows of integers"),
+        ({"seifert_matrix": [[0, 1, 0], [0, 0]]}, "bad seifert_matrix: Seifert matrix must be square"),
+        (
+            {"seifert_matrix": [[0, 1, 0], [0, 0, 0], [0, 0, 0]]},
+            "bad seifert_matrix: Seifert matrix must have even size",
+        ),
+        (
+            {"seifert_matrix": [[0, 2], [0, 0]]},
+            "bad seifert_matrix: det(A - A^T) = 4, not +-1: not a valid Seifert pairing",
+        ),
+        (
+            {"seifert_matrix": [[-1, 1], [0, -1]], "alexander": {"a0": 3, "a": [-1]}},
+            "alexander polynomial -T + 3 - T^-1 does not match the one derived "
+            "from the Seifert matrix, T - 1 + T^-1",
+        ),
+        (
+            {"seifert_matrix": [[-1, 1], [0, -1]], "trivial": True},
+            "'trivial' is true but the Alexander polynomial is T - 1 + T^-1, not 1",
+        ),
+    ],
+)
+def test_loading_validates_every_record_not_only_the_queried_one(tmp_path, capsys, bad, message):
+    corpus = tmp_path / "bad.json"
+    first = {"name": "first", "seifert_matrix": [[1, 1], [0, -1]]}
+    corpus.write_text(json.dumps([first, {"name": "second", **bad}]))
+    code, out, err = run(capsys, "alexander", "--knot", str(corpus), "--name", "first")
+    assert code == 1 and out == ""
+    assert err == f"error: {corpus}: record 1 (second): {message}\n"
 
 
 @pytest.mark.parametrize("box", sorted(SWEEP_CSV_SHA256))

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 from fractions import Fraction
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import dehnsurg
+import dehnsurg.cli
 import dehnsurg.knots as knots
 
 from dehnsurg import (
@@ -1248,7 +1250,8 @@ def test_packed_alexander_matches_all_oracles(corpus):
 def test_corrupted_packed_determinant_raises(monkeypatch):
     # A digit e_j off by d adds d (1 - T)^(2j) (1 + T)^(n - 2j) to 2^n D:
     # the division by 2^n catches d not divisible by 2^n, the check against
-    # det A = D(0) the rest, and e_0 is the validated det(A - A^T).
+    # det A = D(0) the rest, and e_0 is the validated det(A - A^T).  The
+    # first two run on the polynomial's first read, so it is read here.
     rng = random.Random(63)
     rows = [random_seifert(rng, genus).entries for genus in range(1, 5)]
     rows += [_with_null_blocks(random_seifert(rng, 2).entries, 1)]
@@ -1262,12 +1265,26 @@ def test_corrupted_packed_determinant_raises(monkeypatch):
 
                 monkeypatch.setattr(knots, "_packed_alexander", corrupted)
                 with pytest.raises((ValueError, ArithmeticError)):
-                    SeifertMatrix(a)
-    # A determinant with a digit above e_g.
+                    SeifertMatrix(a).alexander
+    # A determinant with a digit above e_g: the constructor raises.
     monkeypatch.setattr(knots, "_packed_alexander", packed)
     monkeypatch.setattr(knots, "_int_det", lambda r, det=knots._int_det: det(r) + (1 << 10_000))
     with pytest.raises(ArithmeticError, match="digit above"):
         SeifertMatrix(rows[0])
+
+
+def test_a_determinant_check_failing_on_first_read_reaches_the_cli(tmp_path, capsys, monkeypatch):
+    # With the Cayley map off by one, 2^n no longer divides 2^n D.  The file
+    # gives no polynomial, so it loads and the check fires when `alexander`
+    # reads Delta; cli.main reports the ArithmeticError as for any error.
+    path = tmp_path / "k.json"
+    path.write_text(json.dumps([{"name": "t", "seifert_matrix": TORUS_2_5.entries}]))
+    monkeypatch.setattr(knots, "_cayley", lambda c, cayley=knots._cayley: [x + 1 for x in cayley(c)])
+    dehnsurg.load_knots(path)
+    code = dehnsurg.cli.main(["alexander", "--knot", str(path), "--name", "t"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err == "error: 2^n det(A - T A^T) is not divisible by 2^n; the determinant is wrong\n"
 
 
 def test_invalid_pairings_keep_their_error_message():

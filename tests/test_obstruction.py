@@ -1,7 +1,9 @@
+import copy
 import csv
 import hashlib
 import json
 import math
+import pickle
 import random
 from collections import Counter
 from decimal import Decimal
@@ -33,10 +35,17 @@ from dehnsurg import (
 )
 from dehnsurg.dedekind import dedekind_numerator, dedekind_sum
 from dehnsurg.hfcone import cone_rank_oracle, mirror_of, rank_formula
-from dehnsurg.knots import NotLSpaceFormError, SingularValueError, parse_lspace_form, sigma_total
+from dehnsurg.knots import (
+    NotLSpaceFormError,
+    SingularValueError,
+    alexander_from_seifert,
+    parse_lspace_form,
+    sigma_total,
+)
 from dehnsurg.obstruction import _STAGES, SweepRow, _check_pair, _stages
 from dehnsurg.surgery import casson_gordon_surgered, casson_walker_surgered
 from conftest import reduced_slopes
+from test_knots import random_seifert
 
 
 def slope_pairs_same_p(p_max, q_max):
@@ -710,6 +719,42 @@ def test_load_knots_corpus(corpus):
     assert sum(1 for r in corpus if r.trivial) == 1
     for record in corpus:
         assert record.alexander.a0 + 2 * sum(record.alexander.higher) == 1
+
+
+def test_a_record_derived_late_equals_the_record_built_early(tmp_path):
+    # A record whose file gives no polynomial takes Delta and Delta''(1)
+    # from its Seifert matrix on first read; every view of it matches the
+    # record built with the polynomial up front.
+    rng = random.Random(2028)
+    matrices = [random_seifert(rng, rng.randint(1, 5)) for _ in range(60)]
+    matrices += [matrix.mirror() for matrix in matrices]
+    raw = json.loads(ds.bundled_corpus_path().read_text())
+    raw += [{"name": f"r{i}", "seifert_matrix": [list(row) for row in m.entries]} for i, m in enumerate(matrices)]
+    path = tmp_path / "late.json"
+    path.write_text(json.dumps(raw))
+    early = [
+        KnotRecord(r.name, alexander_from_seifert(r.seifert), r.seifert, r.hf, r.ambient, r.tau, r.nu, r.trivial)
+        for r in load_knots(path)
+    ]
+    views = (
+        lambda r: r,
+        hash,
+        repr,
+        lambda r: r.delta2,
+        lambda r: pickle.loads(pickle.dumps(r)),
+        lambda r: pickle.loads(pickle.dumps(r)).delta2,
+        copy.deepcopy,
+        lambda r: copy.deepcopy(r).delta2,
+        lambda r: replace(r, name="x"),
+    )
+    for view in views:
+        for late, built in zip(load_knots(path), early, strict=True):
+            assert view(late) == view(built)
+    for record in load_knots(path):
+        assert record.seifert.alexander is record.seifert.alexander
+        assert record.alexander is record.alexander
+    with pytest.raises(ValueError, match="need an Alexander polynomial or a Seifert matrix"):
+        KnotRecord("x", None)
 
 
 def test_record_refuses_the_trivial_mark_unless_alexander_is_one():
