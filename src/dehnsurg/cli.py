@@ -84,10 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = new_command("hf-rank", "hat-homology rank of the surgered manifold")
     knot_args(p, slope=True)
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--oracle", action="store_true", help="mapping-cone rank only")
-    mode.add_argument("--formula", action="store_true", help="closed formula only")
-    mode.add_argument("--both", action="store_true", help="both, and insist they agree")
+    p.add_argument("--formula", action="store_true", help="closed formula only, without the cone")
 
     p = new_command("distinguish", "which invariant separates two surgeries")
     knot_args(p)
@@ -155,18 +152,13 @@ def _cmd_hf_rank(args) -> int:
         raise ValueError(f"{record.name}: no knot Floer data on file")
     if args.slope.is_infinite:
         raise ValueError("the cone needs a finite slope (the infinite surgery has rank 1)")
-    parts = []
-    want_oracle = not args.formula
-    want_formula = not args.oracle
-    oracle = formula = None
-    if want_oracle:
-        oracle = cone_rank_oracle(record.hf, args.slope)
-        parts.append(f"oracle={oracle}")
-    if want_formula:
-        formula = rank_formula(record.hf, args.slope)
-        parts.append(f"formula={formula}")
-    print(" ".join(parts))
-    if oracle is not None and formula is not None and oracle != formula:
+    if args.formula:
+        print(f"formula={rank_formula(record.hf, args.slope)}")
+        return 0
+    oracle = cone_rank_oracle(record.hf, args.slope)
+    formula = rank_formula(record.hf, args.slope)
+    print(f"oracle={oracle} formula={formula}")
+    if oracle != formula:
         raise ArithmeticError(f"oracle {oracle} != formula {formula}")
     return 0
 
@@ -197,11 +189,7 @@ def _cmd_distinguish(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    records = load_knots(args.knot)
-    if args.name is not None:
-        records = [r for r in records if r.name == args.name]
-        if not records:
-            raise ValueError(f"no knot named {args.name!r} in {args.knot}")
+    records = load_knots(args.knot) if args.name is None else [_load_record(args)]
     # Each group's rows go to a file beside --out as one string, each q and
     # witness formatted once, and the file replaces --out only once
     # complete, so an error leaves --out as it was.

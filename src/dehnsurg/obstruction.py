@@ -436,12 +436,21 @@ def _parse_fraction(value) -> Fraction:
     raise ValueError(f"expected an integer or 'a/b' string, got {value!r}")
 
 
+_RECORD_KEYS = ("name", "seifert_matrix", "alexander", "hf", "tau", "nu", "lambda_ambient", "ambient", "trivial")
+
+
 def _record_from_dict(raw: dict, context: str) -> KnotRecord:
     def fail(msg):
         raise ValueError(f"{context}: {msg}")
 
+    def refuse_unknown_keys(spec, allowed, prefix):
+        for key in spec:  # file order, so the key named does not depend on hash seeds
+            if key not in allowed:
+                fail(f"{prefix}unknown key {key!r}")
+
     if not isinstance(raw, dict):
         fail("record must be a JSON object")
+    refuse_unknown_keys(raw, _RECORD_KEYS, "")
     name = raw.get("name")
     if not isinstance(name, str) or not name:
         fail("missing or empty 'name'")
@@ -461,6 +470,7 @@ def _record_from_dict(raw: dict, context: str) -> KnotRecord:
         spec = raw["alexander"]
         if not isinstance(spec, dict) or "a0" not in spec:
             fail("bad alexander polynomial: need an object with an 'a0' entry")
+        refuse_unknown_keys(spec, ("a0", "a"), "bad alexander polynomial: ")
         a0, higher = spec["a0"], spec.get("a", [])
         if not _is_int(a0) or not isinstance(higher, list) or not all(map(_is_int, higher)):
             fail("bad alexander polynomial: 'a0' must be an integer and 'a' a list of integers")
@@ -480,6 +490,7 @@ def _record_from_dict(raw: dict, context: str) -> KnotRecord:
         spec = raw["hf"]
         if not isinstance(spec, dict):
             fail("bad hf data: need a JSON object")
+        refuse_unknown_keys(spec, ("g", "a", "v_threshold"), "bad hf data: ")
         ranks = spec.get("a", [])
         scalars = [spec[key] for key in ("g", "v_threshold") if key in spec]
         if not all(map(_is_int, scalars)) or not isinstance(ranks, list) or not all(map(_is_int, ranks)):

@@ -139,20 +139,16 @@ def test_large_order_finishes_in_bounded_time(capsys, clear_caches, argv, want):
     assert elapsed < 1.0, elapsed
 
 
-def test_hf_rank_both(capsys):
-    # --both, and no mode flag at all, run the oracle and the formula
-    for mode in (["--both"], []):
-        code, out, _ = run(
-            capsys, "hf-rank", "--knot", CORPUS, "--name", "trefoil_right", "--slope", "1/2", *mode
-        )
-        assert code == 0 and out == "oracle=3 formula=3\n", mode
+def test_hf_rank_both(capsys, monkeypatch):
+    # With no flag, hf-rank runs the oracle and the formula, and insists
+    # they agree: a formula one above the cone is one error line.
+    argv = ["hf-rank", "--knot", CORPUS, "--name", "trefoil_right", "--slope", "1/2"]
+    assert run(capsys, *argv) == (0, "oracle=3 formula=3\n", "")
+    monkeypatch.setattr(cli, "rank_formula", lambda data, slope: cli.cone_rank_oracle(data, slope) + 1)
+    assert run(capsys, *argv) == (1, "oracle=3 formula=4\n", "error: oracle 3 != formula 4\n")
 
 
 def test_hf_rank_single_modes(capsys):
-    code, out, _ = run(
-        capsys, "hf-rank", "--knot", CORPUS, "--name", "figure_eight", "--slope", "1/1", "--oracle"
-    )
-    assert code == 0 and out == "oracle=3\n"
     code, out, _ = run(
         capsys, "hf-rank", "--knot", CORPUS, "--name", "figure_eight", "--slope", "1/1", "--formula"
     )
@@ -368,20 +364,32 @@ def test_undecodable_corpus_exits_1(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
-def test_unknown_name_exits_1(capsys):
-    code, _, err = run(capsys, "alexander", "--knot", CORPUS, "--name", "nonesuch")
-    assert code == 1 and "no knot named" in err
+def test_unknown_name_exits_1(capsys, tmp_path):
+    # Every command finds its record through the one lookup, and its one
+    # error line names the records on file.
+    out_csv = str(tmp_path / "s.csv")
+    for argv in (
+        ["alexander", "--knot", CORPUS, "--name", "nonesuch"],
+        ["sweep", "--knot", CORPUS, "--name", "nonesuch", "--pmax", "2", "--qmax", "2", "--out", out_csv],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "", argv
+        assert err.startswith(f"error: no knot named 'nonesuch' in {CORPUS} (have: unknot, "), argv
+        assert err.count("\n") == 1, argv
+    assert not os.listdir(tmp_path)
 
 
 def test_usage_error_exits_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["dedekind", "1"])
-    assert exc.value.code == 2
-    capsys.readouterr()
-    with pytest.raises(SystemExit) as exc:
-        main(["casson-walker", "--knot", CORPUS, "--name", "unknot", "--slope", "x/y"])
-    assert exc.value.code == 2
-    capsys.readouterr()
+    for argv in (
+        ["dedekind", "1"],
+        ["casson-walker", "--knot", CORPUS, "--name", "unknot", "--slope", "x/y"],
+        ["hf-rank", "--knot", CORPUS, "--name", "figure_eight", "--slope", "1/1", "--oracle"],
+        ["hf-rank", "--knot", CORPUS, "--name", "figure_eight", "--slope", "1/1", "--both"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        capsys.readouterr()
 
 
 def test_sweep_cli(tmp_path, capsys):

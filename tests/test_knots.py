@@ -77,29 +77,6 @@ def random_seifert(rng, genus):
     return SeifertMatrix(a)
 
 
-def _padd(a, b):
-    out = list(a) + [0] * max(0, len(b) - len(a))
-    for j, y in enumerate(b):
-        out[j] += y
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _pmul(a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
 def cofactor_det(rows):
     """Test-only oracle: determinant over Z[T] by cofactor expansion along
     rows, with a memo on the set of columns still free (exponential)."""
@@ -118,10 +95,10 @@ def cofactor_det(rows):
             if mask & bit:
                 entry = rows[i][j]
                 if entry:
-                    term = _pmul(entry, minor(i + 1, mask & ~bit))
+                    term = _poly_mul(entry, minor(i + 1, mask & ~bit))
                     if sign < 0:
                         term = [-t for t in term]
-                    total = _padd(total, term)
+                    total = _poly_add(total, term)
                 sign = -sign
         memo[mask] = total
         return total
@@ -706,7 +683,7 @@ def test_cyclotomic_filter_divides_only_where_phi_d_at_plus_minus_one_allows(mon
     for _ in range(400):
         c = rng.choice(polys[:200]).as_int_poly()
         for phi in rng.sample(factors, rng.randint(1, 2)):
-            c = _pmul(c, list(phi))
+            c = _poly_mul(c, list(phi))
         half = len(c) // 2
         polys.append(SymLaurentPoly(c[half], c[half + 1 :]))
     for d in range(1, 201):
@@ -890,7 +867,7 @@ commands = [
     ["casson-walker", *knot, "--slope", "1/2"],
     ["casson-gordon", *knot, "--slope", "5/2", "--verbose"],
     ["signature", *knot, "--m", "13"],
-    ["hf-rank", *knot, "--slope", "3/1", "--both"],
+    ["hf-rank", *knot, "--slope", "3/1"],
     ["distinguish", *knot, "--slopes", "5/1", "5/2", "--verbose"],
     ["sweep", "--knot", corpus, "--pmax", "4", "--qmax", "4", "--out", {str(out)!r}],
 ]
@@ -918,7 +895,7 @@ commands = [
     ["casson-walker", *knot, "--slope", "1/2"],
     ["casson-gordon", *knot, "--slope", "5/2", "--verbose"],
     ["signature", *knot, "--m", "13"],
-    ["hf-rank", *knot, "--slope", "3/1", "--both"],
+    ["hf-rank", *knot, "--slope", "3/1"],
     ["distinguish", *knot, "--slopes", "5/1", "5/2", "--verbose"],
     ["sweep", "--knot", corpus, "--pmax", "4", "--qmax", "4", "--out", {str(tmp_path / "s.csv")!r}],
 ]

@@ -866,6 +866,14 @@ def test_load_knots_error_reporting(tmp_path):
             "bad hf data: 'g' and 'v_threshold' must be integers and 'a' a list of integers",
         ),
         ("hf", {"g": 1, "a": [1, 3, 1]}, "bad hf data: hf data missing key 'v_threshold'"),
+        # A misspelt key is refused, not read as the field left at its default.
+        ("lambda_ambeint", "2", "unknown key 'lambda_ambeint'"),
+        ("alexander", {"a0": 1, "b": [0], "c": [1]}, "bad alexander polynomial: unknown key 'b'"),
+        (
+            "hf",
+            {"g": 1, "a": [1, 3, 1], "v_treshold": 0, "v_threshold": 0},
+            "bad hf data: unknown key 'v_treshold'",
+        ),
     ],
 )
 def test_loader_messages_for_non_integral_and_invalid_fields(tmp_path, field, value, message):
