@@ -6,10 +6,11 @@ A subclass lists its fields in ``_fields``, in constructor order, and its
 ``__init__`` sets them: by direct ``object.__setattr__`` calls where
 records or hot paths build it, else by ``_set_fields``, which is slower.
 Instances refuse assignment and deletion, compare and hash by those fields
-within one class only, print as ``Name(field=value, ...)``, and copy,
-deep-copy and pickle through their ``__dict__``.  An attribute not listed
-is derived: it takes no part in equality, hash or repr.  A derived value
-is set by ``__init__``, or computed once on first read by a
+within one class only, through ``Value.__eq__`` and ``Value.__hash__``,
+which no subclass overrides; they print as ``Name(field=value, ...)``,
+and copy, deep-copy and pickle through their ``__dict__``.  An attribute
+not listed is derived: it takes no part in equality, hash or repr.  A
+derived value is set by ``__init__``, or computed once on first read by a
 ``functools.cached_property``, which stores it in ``__dict__``.  The
 on-first-read ones are SeifertMatrix.alexander, and KnotRecord.alexander
 (a field, read by equality, hash and repr) and delta2 when taken from the

@@ -18,7 +18,7 @@ from pathlib import Path
 from .dedekind import LensSpace, dedekind_sum, lens_lambda, lens_tau_cg
 from .hfcone import cone_rank_oracle, rank_formula
 from .knots import SingularValueError, sigma_total
-from .obstruction import _CSV_HEADER, _csv_field, _csv_text, _sweep_groups, distinguish, full_invariants, load_knots
+from .obstruction import _CSV_HEADER, INCONCLUSIVE, _csv_field, _csv_text, _sweep_groups, distinguish, full_invariants, load_knots
 from .surgery import Slope, casson_gordon_surgered, casson_walker_surgered
 
 
@@ -49,16 +49,17 @@ def _build_parser() -> argparse.ArgumentParser:
     parser._negative_number_matcher = slope_like
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def new_command(name, help_text):
+    def new_command(name, help_text, run):
         p = sub.add_parser(name, help=help_text)
         p._negative_number_matcher = slope_like
+        p.set_defaults(run=run)
         return p
 
-    p = new_command("dedekind", "Dedekind sum s(q,p)")
+    p = new_command("dedekind", "Dedekind sum s(q,p)", _cmd_dedekind)
     p.add_argument("q", type=int)
     p.add_argument("p", type=int)
 
-    p = new_command("lens", "Casson-Walker and Casson-Gordon values of L(p,q)")
+    p = new_command("lens", "Casson-Walker and Casson-Gordon values of L(p,q)", _cmd_lens)
     p.add_argument("p", type=int)
     p.add_argument("q", type=int)
 
@@ -68,30 +69,30 @@ def _build_parser() -> argparse.ArgumentParser:
         if slope:
             p.add_argument("--slope", required=True, type=_slope_arg, help="p/q or inf")
 
-    p = new_command("alexander", "normalized Alexander polynomial")
+    p = new_command("alexander", "normalized Alexander polynomial", _cmd_alexander)
     knot_args(p)
 
-    p = new_command("casson-walker", "Casson-Walker invariant of the surgery")
+    p = new_command("casson-walker", "Casson-Walker invariant of the surgery", _cmd_casson_walker)
     knot_args(p, slope=True)
 
-    p = new_command("casson-gordon", "total Casson-Gordon invariant of the surgery")
+    p = new_command("casson-gordon", "total Casson-Gordon invariant of the surgery", _cmd_casson_gordon)
     knot_args(p, slope=True)
     p.add_argument("--verbose", action="store_true")
 
-    p = new_command("signature", "total Tristram-Levine signature sum sigma(K,m)")
+    p = new_command("signature", "total Tristram-Levine signature sum sigma(K,m)", _cmd_signature)
     knot_args(p)
     p.add_argument("--m", required=True, type=int)
 
-    p = new_command("hf-rank", "hat-homology rank of the surgered manifold")
+    p = new_command("hf-rank", "hat-homology rank of the surgered manifold", _cmd_hf_rank)
     knot_args(p, slope=True)
     p.add_argument("--formula", action="store_true", help="closed formula only, without the cone")
 
-    p = new_command("distinguish", "which invariant separates two surgeries")
+    p = new_command("distinguish", "which invariant separates two surgeries", _cmd_distinguish)
     knot_args(p)
     p.add_argument("--slopes", required=True, nargs=2, type=_slope_arg, metavar=("S1", "S2"))
     p.add_argument("--verbose", action="store_true")
 
-    p = new_command("sweep", "distinguish all same-sign slope pairs, write CSV")
+    p = new_command("sweep", "distinguish all same-sign slope pairs, write CSV", _cmd_sweep)
     p.add_argument("--knot", required=True)
     p.add_argument("--name", help="restrict to one record")
     p.add_argument("--pmax", required=True, type=int)
@@ -151,7 +152,7 @@ def _cmd_hf_rank(args) -> int:
     if record.hf is None:
         raise ValueError(f"{record.name}: no knot Floer data on file")
     if args.slope.is_infinite:
-        raise ValueError("the cone needs a finite slope (the infinite surgery has rank 1)")
+        raise ValueError("hf-rank needs a finite slope (the infinite surgery has rank 1)")
     if args.formula:
         print(f"formula={rank_formula(record.hf, args.slope)}")
         return 0
@@ -195,17 +196,16 @@ def _cmd_sweep(args) -> int:
     # complete, so an error leaves --out as it was.
     out = Path(args.out)
     tmp = out.with_name(f"{out.name}.{os.getpid()}.tmp")
-    counts, rows, bad = Counter(), 0, 0
+    counts, rows = Counter(), 0
     f = open(tmp, "x")  # outside the try: a name clash must not remove the other file
     try:
         with f:
             f.write(_CSV_HEADER)
-            for name, p, columns, group_bad in _sweep_groups(records, args.pmax, args.qmax, _csv_field):
+            for name, p, columns in _sweep_groups(records, args.pmax, args.qmax, _csv_field):
                 f.write(_csv_text(name, p, *columns))
                 tags = columns[2]
                 counts.update(tags)
                 rows += len(tags)
-                bad += group_bad
         os.replace(tmp, out)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -213,23 +213,11 @@ def _cmd_sweep(args) -> int:
     print(f"rows={rows}")
     for tag in sorted(counts):
         print(f"{tag}={counts[tag]}")
-    if bad:
-        print(f"inconclusive on nontrivial records: {bad}", file=sys.stderr)
+    # Only a nontrivial record's all-tie pairs are Inconclusive (_tie_tag).
+    if counts[INCONCLUSIVE]:
+        print(f"inconclusive on nontrivial records: {counts[INCONCLUSIVE]}", file=sys.stderr)
         return 1
     return 0
-
-
-_COMMANDS = {
-    "dedekind": _cmd_dedekind,
-    "lens": _cmd_lens,
-    "alexander": _cmd_alexander,
-    "casson-walker": _cmd_casson_walker,
-    "casson-gordon": _cmd_casson_gordon,
-    "signature": _cmd_signature,
-    "hf-rank": _cmd_hf_rank,
-    "distinguish": _cmd_distinguish,
-    "sweep": _cmd_sweep,
-}
 
 
 _parser: argparse.ArgumentParser | None = None  # built on first use
@@ -241,7 +229,7 @@ def main(argv=None) -> int:
         _parser = _build_parser()
     args = _parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (ValueError, ArithmeticError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

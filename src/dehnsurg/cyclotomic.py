@@ -109,19 +109,11 @@ class FieldElement:
         self.coeffs = field._reduce(coeffs)
 
     def _coerce(self, other):
-        if isinstance(other, FieldElement):
-            if other.field is not self.field:
-                raise ValueError("elements of different fields")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.field.scalar(other)
-        return NotImplemented
+        """other as an element of this field: an element of it, or an int or Fraction."""
+        return other if isinstance(other, FieldElement) else self.field.scalar(other)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, _poly_add(self.coeffs, other.coeffs))
+        return FieldElement(self.field, _poly_add(self.coeffs, self._coerce(other).coeffs))
 
     __radd__ = __add__
 
@@ -129,33 +121,12 @@ class FieldElement:
         return FieldElement(self.field, [-x for x in self.coeffs])
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
+        return self + (-self._coerce(other))
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, _poly_mul(self.coeffs, other.coeffs))
+        return FieldElement(self.field, _poly_mul(self.coeffs, self._coerce(other).coeffs))
 
     __rmul__ = __mul__
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return (self - other).is_zero()
-
-    def __hash__(self):
-        return hash((self.field.order, self.coeffs))
-
-    def __repr__(self):
-        return f"FieldElement(order={self.field.order}, coeffs={self.coeffs})"
 
     def is_zero(self) -> bool:
         return not self.coeffs

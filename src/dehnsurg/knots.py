@@ -215,15 +215,6 @@ class SeifertMatrix(Value):
     def alexander(self) -> SymLaurentPoly:
         return alexander_from_seifert(self)
 
-    # Value's generic methods, written out: three caches are keyed on matrices.
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.entries == other.entries
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.entries)
-
     @property
     def size(self) -> int:
         return len(self.entries)
@@ -278,8 +269,6 @@ class SymLaurentPoly(Value):
 
     def __str__(self) -> str:
         g = self.degree
-        if g == 0:
-            return str(self.a0)
         parts = []
         for j in range(g, -g - 1, -1):
             c = self.coefficient(j)
@@ -292,13 +281,12 @@ class SymLaurentPoly(Value):
             else:
                 mono = f"T^{j}"
             mag = abs(c)
-            coef = "" if (mag == 1 and mono) else str(mag)
-            term = coef + mono if mono else str(mag)
+            term = ("" if mag == 1 and mono else str(mag)) + mono
             if not parts:
                 parts.append(term if c > 0 else "-" + term)
             else:
                 parts.append(("+ " if c > 0 else "- ") + term)
-        return " ".join(parts) if parts else "0"
+        return " ".join(parts)
 
 
 class LSpaceForm(Value):

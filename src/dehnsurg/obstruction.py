@@ -198,14 +198,14 @@ def _stages(record: KnotRecord, slopes, sign: int, us=None):
 
 
 def _tie_tag(record: KnotRecord) -> str:
-    """The tag when every stage ties: UnknotCosmetic only for a record
+    """The tag when every stage is tied: UnknotCosmetic only for a record
     marked trivial, so with Delta = 1 (KnotRecord), else Inconclusive.
 
     No other Delta reaches a tie that the L-space form could decide: an
     alternating form with exponents n_1 < ... < n_k has Delta''(1) =
     2 sum_j (-1)^(k-j) n_j^2 > 0, so the Casson-Walker keys U - 12 q
-    Delta''(1) separate every pair the Casson-Gordon stage ties (acceptance
-    criterion 9).
+    Delta''(1) separate every pair left tied by the Casson-Gordon stage
+    (acceptance criterion 9).
     """
     return UNKNOT_COSMETIC if record.trivial else INCONCLUSIVE
 
@@ -341,10 +341,10 @@ def _sign_free(record: KnotRecord) -> bool:
 def _decide(record, template, sign, fmt):
     """For each |p| group of the template (_groups), the q1, q2, tag,
     witness1 and witness2 columns of its pairs, each pair decided by its
-    first differing stage as in distinguish, and its count of pairs on which
-    every stage ties.  Only the pairs the Casson-Gordon stage ties run the
-    later stages, in one pass of _stages over their slopes (1/0 and 1/1 are
-    always among them), which builds one witness fmt(w) per slope and stage.
+    first differing stage as in distinguish.  Only the pairs left tied by
+    the Casson-Gordon stage run the later stages, in one pass of _stages
+    over their slopes (1/0 and 1/1 are always among them), which builds one
+    witness fmt(w) per slope and stage.
     """
     groups, slopes, us = template
     indices = range(len(slopes))
@@ -356,7 +356,6 @@ def _decide(record, template, sign, fmt):
     decided = []
     for qs, cg, tied in groups:
         tags, w1s, w2s = map(list, cg)
-        ties = 0
         for k, i, j in tied:
             for tag, keys, ws in stages:
                 if keys[i] != keys[j]:
@@ -364,17 +363,15 @@ def _decide(record, template, sign, fmt):
                     break
             else:
                 tags[k] = tie
-                ties += 1
-        decided.append(((*qs, tags, w1s, w2s), ties))
+        decided.append((*qs, tags, w1s, w2s))
     return decided
 
 
 def _sweep_groups(records, p_max: int, q_max: int, fmt):
     """Yield each (record, signed p) group in sweep's order as its name,
-    signed p, columns (q1, q2, tag, witness1, witness2) and the count of its
-    rows that are Inconclusive on a nontrivial record.  The columns hold
-    fmt(q) and fmt(w), fmt applied once per q of a |p| group and once per
-    witness built, and fmt(None) for a missing witness.
+    signed p and columns (q1, q2, tag, witness1, witness2).  The columns
+    hold fmt(q) and fmt(w), fmt applied once per q of a |p| group and once
+    per witness built, and fmt(None) for a missing witness.
 
     The template (_groups) serves both signs and every record.  Each record
     is decided once per sign, or once when it is sign-free (_sign_free),
@@ -386,16 +383,13 @@ def _sweep_groups(records, p_max: int, q_max: int, fmt):
         records = [records]
     template = _groups(p_max, q_max, fmt)
     for record in records:
-        name, trivial = record.name, record.trivial
         # Negative slopes are decided as their positive mirrors.
         decided = _decide(record, template, -1, fmt)
         for sign, ps in ((-1, range(p_max, 0, -1)), (1, range(1, p_max + 1))):
             if sign > 0 and not _sign_free(record):
                 decided = _decide(record, template, 1, fmt)
             for p in ps:
-                columns, ties = decided[p - 1]
-                # A nontrivial record's all-tie rows are Inconclusive (_tie_tag).
-                yield name, sign * p, columns, 0 if trivial else ties
+                yield record.name, sign * p, decided[p - 1]
 
 
 def sweep(records, p_max: int, q_max: int) -> SweepReport:
@@ -405,15 +399,17 @@ def sweep(records, p_max: int, q_max: int) -> SweepReport:
     p_max and 0 <= q <= q_max; the infinite slope joins the |p| = 1 groups
     with q recorded as 0.  Rows come out in (p, q1, q2) order per record.
     The report collects _sweep_groups, which says what is computed once
-    and which ``dehnsurg sweep`` formats and streams instead.
+    and which ``dehnsurg sweep`` formats and streams instead.  Only a
+    nontrivial record's all-tie pairs are Inconclusive (_tie_tag), so their
+    count is the count of that tag.
     """
-    rows, tags, bad = [], [], 0
-    for name, p, columns, group_bad in _sweep_groups(records, p_max, q_max, lambda w: w):
+    rows, tags = [], []
+    for name, p, columns in _sweep_groups(records, p_max, q_max, lambda w: w):
         # The rows become SweepRows in C, without the Python-level SweepRow.__new__.
         rows += map(tuple.__new__, repeat(SweepRow), zip(repeat(name), repeat(p), *columns))
         tags.append(columns[2])
-        bad += group_bad
-    return SweepReport(tuple(rows), dict(Counter(chain.from_iterable(tags))), bad)
+    counts = dict(Counter(chain.from_iterable(tags)))
+    return SweepReport(tuple(rows), counts, counts.get(INCONCLUSIVE, 0))
 
 
 # ---------------------------------------------------------------------------

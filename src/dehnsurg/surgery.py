@@ -44,15 +44,6 @@ class Slope(Value):
         if q == 0 and p != 1:
             raise ValueError("the infinite slope is encoded as 1/0")
 
-    # Value's generic methods, written out: every distinguish compares two slopes.
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.p == other.p and self.q == other.q
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.p, self.q))
-
     @classmethod
     def of(cls, p: int, q: int) -> "Slope":
         """Build a slope from any integer pair with q possibly negative."""

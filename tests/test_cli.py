@@ -64,6 +64,10 @@ def test_alexander(capsys):
     assert code == 0 and out == "T - 1 + T^-1\n"
 
 
+def test_alexander_of_a_constant_polynomial(capsys):
+    assert run(capsys, "alexander", "--knot", CORPUS, "--name", "unknot") == (0, "1\n", "")
+
+
 def test_casson_walker(capsys):
     code, out, _ = run(
         capsys, "casson-walker", "--knot", CORPUS, "--name", "trefoil_right", "--slope", "1/1"
@@ -184,6 +188,64 @@ def test_hf_rank_missing_data(capsys):
         capsys, "hf-rank", "--knot", CORPUS, "--name", "twist_5_2", "--slope", "1/1"
     )
     assert code == 1 and "no knot Floer data" in err
+
+
+@pytest.mark.parametrize("mode", [(), ("--formula",)])
+def test_hf_rank_at_the_infinite_slope_exits_1(capsys, mode):
+    # Neither the cone nor the closed formula takes 1/0, whose surgery is
+    # the ambient manifold; one error line says so in both modes.
+    argv = ["hf-rank", "--knot", CORPUS, "--name", "figure_eight", "--slope", "inf", *mode]
+    want = "error: hf-rank needs a finite slope (the infinite surgery has rank 1)\n"
+    assert run(capsys, *argv) == (1, "", want)
+
+
+_BARE = {"name": "x", "alexander": {"a0": 1}}
+_HF = {"g": 1, "a": [1, 1, 1], "v_threshold": 1}
+
+
+@pytest.mark.parametrize(
+    "records, argv, message",
+    [
+        ([_BARE], ("casson-gordon", "--name", "x", "--slope", "1/1"), "x: Casson-Gordon needs a Seifert matrix"),
+        ([_BARE], ("signature", "--name", "x", "--m", "3"), "x: signatures need a Seifert matrix"),
+        ([[1, 2]], ("alexander", "--name", "x"), "{path}: record 0 (?): record must be a JSON object"),
+        ([{"alexander": {"a0": 1}}], ("alexander", "--name", "x"), "{path}: record 0 (?): missing or empty 'name'"),
+        (
+            [{"name": "x", "alexander": {"a0": 2}}],
+            ("alexander", "--name", "x"),
+            "{path}: record 0 (x): bad alexander polynomial: polynomial is not normalized: value at T = 1 must be 1",
+        ),
+        (
+            [{**_BARE, "hf": {**_HF, "a": [1, 1, 2]}}],
+            ("alexander", "--name", "x"),
+            "{path}: record 0 (x): bad hf data: ranks must be symmetric under s -> -s",
+        ),
+        (
+            [{**_BARE, "hf": {"g": -1, "a": [], "v_threshold": 0}}],
+            ("alexander", "--name", "x"),
+            "{path}: record 0 (x): bad hf data: truncation degree g must be >= 0",
+        ),
+        (
+            [{"name": "x", "alexander": {"a0": -1, "a": [1]}, "hf": _HF, "nu": 0}],
+            ("alexander", "--name", "x"),
+            "{path}: record 0 (x): declared nu = 0 but the hf data has nu = 1",
+        ),
+        (None, ("sweep", "--pmax", "0", "--qmax", "2", "--out", "{out}"), "p_max and q_max must be >= 1"),
+        (None, ("signature", "--name", "trefoil_right", "--m", "0"), "need m >= 1"),
+    ],
+)
+def test_error_branches_are_one_line_and_exit_1(tmp_path, capsys, records, argv, message):
+    # Each refusal is one error line, with the record's context where
+    # there is one, and exit code 1: no traceback, and no file written.
+    path = CORPUS
+    if records is not None:
+        path = str(tmp_path / "k.json")
+        Path(path).write_text(json.dumps(records))
+    out_csv = tmp_path / "r.csv"
+    argv = [arg.format(out=out_csv) for arg in argv]
+    got = run(capsys, argv[0], "--knot", path, *argv[1:])
+    assert got == (1, "", f"error: {message.format(path=path)}\n")
+    assert not out_csv.exists() and len(os.listdir(tmp_path)) == (records is not None)
 
 
 def test_distinguish(capsys):

@@ -729,6 +729,35 @@ def test_sigma_total_places_nothing_without_jumps(corpus_by_name, clear_caches, 
     assert placed
 
 
+def test_arc_placement_refines_a_wide_enclosure(corpus, clear_caches, monkeypatch):
+    # An enclosure answered at a sixteenth of the bits asked for, at least
+    # 8, is still proven, only wider: _arc_at must double its width until
+    # the Sturm counts at both ends agree, and every signature stays.
+    matrices = [record.seifert for record in corpus if record.seifert is not None]
+    big = 10**6 + 3
+
+    def signatures():
+        clear_caches()
+        out = []
+        for a in matrices:
+            for m in [*range(1, 14), big]:
+                rs = range(1, m) if m < big else (1, 2, m // 4, m // 4 + 1, m // 3, m // 2, m - 1)
+                for f, args in [(sigma_total, (a, m)), *((tl_signature, (a, r, m)) for r in rs)]:
+                    try:
+                        out.append(f(*args))
+                    except SingularValueError as e:
+                        out.append((e.r, e.m))
+        return out
+
+    want = signatures()
+    enclosure, arc_at = knots._tan2_enclosure, knots._arc_at
+    asked, placed = [], []
+    monkeypatch.setattr(knots, "_tan2_enclosure", lambda r, m, w: asked.append(w) or enclosure(r, m, max(8, w // 16)))
+    monkeypatch.setattr(knots, "_arc_at", lambda *args: placed.append(args) or arc_at(*args))
+    assert signatures() == want
+    assert placed and len(asked) > len(placed)
+
+
 def test_sigma_total_reads_the_sturm_count_at_zero_once_per_sum(corpus, clear_caches, monkeypatch):
     # _arc_counts reads the sign variations at u = 0 once and shares them
     # with every placement; _jumps and the arcs' signatures, cached per

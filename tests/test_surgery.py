@@ -41,6 +41,15 @@ def test_slope_construction():
         Slope.of(0, 0)
 
 
+def test_infinite_slope_has_one_encoding():
+    # 2/0 is not reduced, and -1/0, which is, is refused as a second
+    # spelling of 1/0.
+    with pytest.raises(ValueError, match="not reduced"):
+        Slope(2, 0)
+    with pytest.raises(ValueError, match="the infinite slope is encoded as 1/0"):
+        Slope(-1, 0)
+
+
 def test_walker_correction_vanishes_on_diagonal():
     for cls in (PeripheralClass(3, 1), PeripheralClass(-2, 5), PeripheralClass(1, 1)):
         for d in (1, 2, 5):
