@@ -10,9 +10,11 @@ total signature sum (by counting the roots of unity on each arc: O(log m)
 placements per jump, none per root), and recognition of the
 Alexander-polynomial shape forced by L-space surgeries.
 
-One Cayley map, z -> (1 - z)/(1 + z), takes det(K + X S) to Delta and
-T^deg Delta(T) to D(u).  The integer polynomial helpers, cyclotomic
-polynomials and rigorous fixed-point cosines live here too.
+One Cayley map, z -> (1 - z)/(1 + z), takes det(K + X S) to Delta; the
+same packed digits, read at z^2 = -u, are (1 + u)^(g - deg) D(u), so the
+jump polynomial needs no second map.  Congruence reductions divide each
+step by the previous pivot (Bareiss).  The integer polynomial helpers,
+cyclotomic polynomials and rigorous fixed-point cosines live here too.
 """
 
 from __future__ import annotations
@@ -495,11 +497,18 @@ def _jumps(matrix: SeifertMatrix):
     D(0) = Delta(1) = 1 and the top coefficient of D is Delta(-1) != 0, so
     the jumps are exactly the positive roots of D.  _sturm divides out
     repeated factors, so D is squarefree when its first entry is as long.
-    D(u) = sum_j (-1)^j E_2j u^j for E = _cayley(T^deg Delta), as z^2 = -u.
-    Delta's own degree is used, not the genus: the packed digits carry an
-    extra (1 + u)^(genus - deg), a repeated factor once that is >= 2."""
-    d = _cayley(matrix.alexander.as_int_poly())[::2]
-    d[1::2] = [-x for x in d[1::2]]
+
+    D is read off the packed digits the constructor keeps, with no second
+    Cayley map.  The Cayley image of det(K + z S) = sum_j e_j z^(2j) is
+    2^n T^(g - deg) T^deg Delta(T), n = 2g (alexander_from_seifert); the
+    map is an involution, so det(K + z S) = (1 - z^2)^(g - deg) C(z) for
+    C the Cayley image of T^deg Delta, and z^2 = -u turns
+    sum_j (-1)^j e_j u^j into (1 + u)^(g - deg) D(u).  D(-1) = C(1) is
+    4^deg times Delta's top coefficient, which is nonzero, so (1 + u) is
+    divided out exactly g - deg times, each division exact."""
+    d = [-e if j % 2 else e for j, e in enumerate(matrix._digits)]
+    for _ in range(matrix.size // 2 - matrix.alexander.degree):
+        d = _poly_divexact(d, [1, 1])
     seq = _sturm(d)
     return seq, _roots_upto(seq, None), len(seq[0]) == len(d)
 
@@ -751,16 +760,22 @@ def _sigma_total_cached(matrix: SeifertMatrix, m: int) -> int | SingularValueErr
 
 def _symmetric_inertia(m):
     """Inertia (pos, neg, zero) of a symmetric integer matrix, by
-    fraction-free congruence reduction.
+    fraction-free congruence reduction with Bareiss division (Bareiss, 1968).
 
-    A nonzero pivot d turns the rest into d times its Schur complement, so
-    the signs met later are flipped once for every negative pivot.  When
-    the whole diagonal is zero, e_i -> e_i + e_j for some m_ij != 0 makes
-    the diagonal entry 2 m_ij.  Each step divides out the content.
+    Each step takes a nonzero diagonal pivot d, forms d times the Schur
+    complement of the rest and divides it by the previous pivot prev (1 at
+    first): every entry is then a minor of the leading block bordered by
+    one row and one column, so the division is exact, and d is a leading
+    principal minor, so the true pivot d/prev has the sign of d * prev.
+    When the whole diagonal is zero, e_i -> e_i + e_j for some m_ij != 0
+    makes the diagonal entry 2 m_ij.  That unimodular congruence Q of the
+    trailing block leaves its inertia alone, and a bordered minor is linear
+    in its last row and in its last column, so the block of minors becomes
+    Q^T M Q as well and later divisions stay exact.
     """
     m = [list(row) for row in m]
     pos = neg = 0
-    flipped = False
+    prev = 1
     while m:
         size = len(m)
         piv = next((i for i in range(size) if m[i][i]), None)
@@ -776,17 +791,17 @@ def _symmetric_inertia(m):
                 row[piv] += row[j]
             m[piv] = [x + y for x, y in zip(m[piv], m[j])]
         d = m[piv][piv]
-        if (d < 0) == flipped:
+        if (d < 0) == (prev < 0):
             pos += 1
         else:
             neg += 1
-        flipped ^= d < 0
-        prow = m[piv]
-        rest = [k for k in range(size) if k != piv]
-        m = [[d * m[a][b] - m[a][piv] * prow[b] for b in rest] for a in rest]
-        g = math.gcd(*(x for row in m for x in row))
-        if g > 1:
-            m = [[x // g for x in row] for row in m]
+        prow = m.pop(piv)
+        del prow[piv]
+        rows = []
+        for row in m:
+            lead = row.pop(piv)
+            rows.append([(d * x - lead * y) // prev for x, y in zip(row, prow)])
+        m, prev = rows, d
     return pos, neg, 0
 
 

@@ -513,6 +513,17 @@ def test_sigma_total_genus_ten_finishes_quickly():
 TORUS_KNOTS = {"trefoil_right": (2, 3), "torus_2_5": (2, 5), "torus_2_7": (2, 7)}
 
 
+def torus_seifert(p, q):
+    """Seifert matrix -(A_p (x) A_q) of the right-handed torus knot T(p, q),
+    A_n the (n-1) x (n-1) matrix with 1 on the diagonal and -1 just above
+    it (Sebastiani-Thom: the link of x^p + y^q)."""
+
+    def a(n):
+        return [[(i == j) - (j == i + 1) for j in range(n - 1)] for i in range(n - 1)]
+
+    return SeifertMatrix([[-x * y for x in row_p for y in row_q] for row_p in a(p) for row_q in a(q)])
+
+
 def test_sigma_total_matches_litherland(corpus_by_name):
     for name, (p, q) in TORUS_KNOTS.items():
         a = corpus_by_name[name].seifert
@@ -523,6 +534,28 @@ def test_sigma_total_matches_litherland(corpus_by_name):
                     sigma_total(a, m)
             else:
                 assert sigma_total(a, m) == want, (name, m)
+    # Every torus knot of genus <= 12 and its mirror, whose signatures
+    # negate; on several of them some arcs are no staircase and take the 2n x 2n
+    # congruence reduction.
+    knots_up_to_genus_12 = [
+        (p, q) for p in range(2, 26) for q in range(p + 1, 26) if math.gcd(p, q) == 1 and (p - 1) * (q - 1) <= 24
+    ]
+    assert len(knots_up_to_genus_12) == 24
+    reduced = 0
+    for p, q in knots_up_to_genus_12:
+        right = torus_seifert(p, q)
+        jumps = _jumps(right)[1]
+        last = _arc_signature(right, jumps)
+        reduced += any(_arc_signature(right, arc) != arc * last // jumps for arc in range(jumps))
+        for m in [*range(1, 41), 1009, 10**6 + 3]:
+            want = litherland_sigma_total(p, q, m)
+            for a, sign in ((right, 1), (right.mirror(), -1)):
+                if want is None:
+                    with pytest.raises(SingularValueError):
+                        sigma_total(a, m)
+                else:
+                    assert sigma_total(a, m) == sign * want, (p, q, sign, m)
+    assert reduced >= 5, reduced
 
 
 def test_sigma_total_cold_time_independent_of_m(corpus_by_name, clear_caches):
@@ -729,6 +762,36 @@ def test_sigma_total_places_nothing_without_jumps(corpus_by_name, clear_caches, 
     assert placed
 
 
+def test_signatures_run_no_cayley_map_once_delta_is_derived(corpus, clear_caches, monkeypatch):
+    # _jumps reads D(u) off the packed digits, dividing out the (1 + u)^(g - deg)
+    # they carry: once Delta is derived, neither the total signature nor
+    # any single one runs the Cayley map again.
+    calls = []
+    cayley = knots._cayley
+    monkeypatch.setattr(knots, "_cayley", lambda c: calls.append(c) or cayley(c))
+    rng = random.Random(75)
+    matrices = [SeifertMatrix(r.seifert.entries) for r in corpus if r.seifert is not None and r.seifert.size]
+    for genus in range(4):
+        base = random_seifert(rng, genus).entries if genus else ()
+        for extra in (1, 2, 3):
+            matrices.append(SeifertMatrix(_with_null_blocks(base, extra)))
+    matrices += [a.mirror() for a in matrices]
+    clear_caches()
+    for a in matrices:
+        calls.clear()
+        a.alexander
+        assert len(calls) == 1, a.entries  # the one derivation of Delta
+        calls.clear()
+        for m in range(1, 41):
+            for f, args in [(sigma_total, (a, m)), *((tl_signature, (a, r, m)) for r in range(1, m))]:
+                try:
+                    f(*args)
+                except SingularValueError:
+                    pass
+        assert calls == [], a.entries
+    assert sum(a.size // 2 > a.alexander.degree for a in matrices) >= 24
+
+
 def test_arc_placement_refines_a_wide_enclosure(corpus, clear_caches, monkeypatch):
     # An enclosure answered at a sixteenth of the bits asked for, at least
     # 8, is still proven, only wider: _arc_at must double its width until
@@ -852,6 +915,33 @@ def test_integer_inertia_matches_fraction_oracle():
             m[k] = list(m[0])
             for row in m:
                 row[k] = row[0]
+        assert _symmetric_inertia(m) == fraction_inertia(m), m
+    # A hyperbolic step after ordinary pivots, with previous pivot 2 and -2:
+    # the step keeps the block's minors exact, and the true pivots' signs
+    # are those of d * prev.  Then block sums of those, with a random form,
+    # under unimodular congruences, which move the zeros of the diagonal.
+    after_pivot = [[2, 2, 0], [2, 2, 2], [0, 2, 0]]
+    seeds = [after_pivot, [[-x for x in row] for row in after_pivot]]
+    bases = list(seeds)
+    for trial in range(60):
+        blocks = [rng.choice(seeds) for _ in range(rng.randint(1, 3))]
+        k = rng.randint(0, 3)
+        blocks.append([[0] * k for _ in range(k)])
+        for i in range(k):
+            for j in range(i, k):
+                blocks[-1][i][j] = blocks[-1][j][i] = rng.choice((0, 1, -2, 5))
+        n = sum(map(len, blocks))
+        m = [[0] * n for _ in range(n)]
+        offset = 0
+        for block in blocks:
+            for i, row in enumerate(block):
+                m[offset + i][offset : offset + len(row)] = row
+            offset += len(block)
+        bases.append(m)
+        if trial % 2:
+            bases.append(_congruent(m, _unimodular(rng, n)))
+    assert [_symmetric_inertia(m) for m in seeds] == [(2, 1, 0), (1, 2, 0)]
+    for m in bases:
         assert _symmetric_inertia(m) == fraction_inertia(m), m
     assert _symmetric_inertia([]) == (0, 0, 0)
     assert _symmetric_inertia([[0, 1], [1, 0]]) == (1, 1, 0)
@@ -1363,7 +1453,7 @@ def test_jumps_match_the_two_cos_oracle(corpus):
     matrices += [random_seifert(rng, genus) for genus in range(1, 13)]
     for genus in range(4):
         base = random_seifert(rng, genus).entries if genus else ()
-        for extra in (2, 3):
+        for extra in (1, 2, 3):
             a = _with_null_blocks(base, extra)
             matrices.append(SeifertMatrix(a))
             matrices.append(SeifertMatrix(_congruent(a, _unimodular(rng, len(a)))))
