@@ -475,11 +475,28 @@ def _homogeneous(p, a: int, b: int) -> int:
 
 def _variations(seq, *points) -> list[int]:
     """Sign changes along the sequence at each point: (a, b) for a/b with
-    b > 0, or None for +infinity."""
+    b > 0, or None for +infinity.  One pass per point: each entry's value
+    is b^deg p(a/b) by inline Horner, as in _homogeneous (its top
+    coefficient at +infinity), zero values are skipped, and a change is a
+    nonzero value whose sign differs from the last nonzero one."""
     counts = []
     for x in points:
-        signs = [v > 0 for p in seq if (v := p[-1] if x is None else _homogeneous(p, *x))]
-        counts.append(sum(map(operator.ne, signs, signs[1:])))
+        n, last = 0, None
+        for p in seq:
+            if x is None:
+                v = p[-1]
+            else:
+                a, b = x
+                v, bpow = 0, 1
+                for c in reversed(p):
+                    v = v * a + c * bpow
+                    bpow *= b
+            if v:
+                sign = v > 0
+                if sign is not last:
+                    n += last is not None  # the first nonzero value is no change
+                    last = sign
+        counts.append(n)
     return counts
 
 
@@ -767,6 +784,11 @@ def _symmetric_inertia(m):
     first): every entry is then a minor of the leading block bordered by
     one row and one column, so the division is exact, and d is a leading
     principal minor, so the true pivot d/prev has the sign of d * prev.
+    Row 0 is the pivot whenever its diagonal entry is nonzero, and a row
+    whose lead is 0 takes d x / prev: the same formula without its zero
+    product, so its division is exact too.  The forms 2S and the arc forms
+    of torus knots are sparse, so both cases are common.
+
     When the whole diagonal is zero, e_i -> e_i + e_j for some m_ij != 0
     makes the diagonal entry 2 m_ij.  That unimodular congruence Q of the
     trailing block leaves its inertia alone, and a bordered minor is linear
@@ -778,7 +800,7 @@ def _symmetric_inertia(m):
     prev = 1
     while m:
         size = len(m)
-        piv = next((i for i in range(size) if m[i][i]), None)
+        piv = 0 if m[0][0] else next((i for i in range(size) if m[i][i]), None)
         if piv is None:
             pair = next(
                 ((i, j) for i in range(size) for j in range(i + 1, size) if m[i][j]),
@@ -800,7 +822,10 @@ def _symmetric_inertia(m):
         rows = []
         for row in m:
             lead = row.pop(piv)
-            rows.append([(d * x - lead * y) // prev for x, y in zip(row, prow)])
+            if lead:
+                rows.append([(d * x - lead * y) // prev for x, y in zip(row, prow)])
+            else:
+                rows.append([d * x // prev for x in row])
         m, prev = rows, d
     return pos, neg, 0
 

@@ -515,9 +515,14 @@ def _record_from_dict(raw: dict, context: str) -> KnotRecord:
         if tau is not None and model_nu not in (tau, tau + 1):
             fail(f"nu = {model_nu} violates the bracket {{tau, tau+1}} for tau = {tau}")
     try:
-        ambient = AmbientData(_parse_fraction(raw.get("lambda_ambient", 0)), ambient_name)
+        lam = _parse_fraction(raw.get("lambda_ambient", 0))
     except (ValueError, ZeroDivisionError) as e:
         fail(f"bad lambda_ambient: {e}")
+    # lambda is -2 times Casson's integer invariant of the ambient integral
+    # homology sphere, so any other value describes no ambient at all.
+    if lam.denominator != 1 or lam.numerator % 2:
+        fail(f"bad lambda_ambient: need an even integer for an integral homology sphere, got {lam}")
+    ambient = AmbientData(lam, ambient_name)
     try:
         return KnotRecord(name, alexander, seifert, hf, ambient, tau, nu, trivial)
     except ValueError as e:

@@ -54,6 +54,7 @@ from dehnsurg.knots import (
     _trim,
     cyclotomic_polynomial,
 )
+from torus import torus_seifert
 
 TREFOIL = SeifertMatrix([[-1, 1], [0, -1]])
 FIGURE_EIGHT = SeifertMatrix([[1, 1], [0, -1]])
@@ -513,17 +514,6 @@ def test_sigma_total_genus_ten_finishes_quickly():
 TORUS_KNOTS = {"trefoil_right": (2, 3), "torus_2_5": (2, 5), "torus_2_7": (2, 7)}
 
 
-def torus_seifert(p, q):
-    """Seifert matrix -(A_p (x) A_q) of the right-handed torus knot T(p, q),
-    A_n the (n-1) x (n-1) matrix with 1 on the diagonal and -1 just above
-    it (Sebastiani-Thom: the link of x^p + y^q)."""
-
-    def a(n):
-        return [[(i == j) - (j == i + 1) for j in range(n - 1)] for i in range(n - 1)]
-
-    return SeifertMatrix([[-x * y for x in row_p for y in row_q] for row_p in a(p) for row_q in a(q)])
-
-
 def test_sigma_total_matches_litherland(corpus_by_name):
     for name, (p, q) in TORUS_KNOTS.items():
         a = corpus_by_name[name].seifert
@@ -854,6 +844,40 @@ def test_sigma_total_reads_the_sturm_count_at_zero_once_per_sum(corpus, clear_ca
     assert sums >= 5 * 50
 
 
+def test_variations_match_a_fraction_count():
+    # The one-pass count against its definition: each entry's value at a/b
+    # as a Fraction (its top coefficient at +infinity), zero values
+    # dropped, and a change between each two neighbours of opposite sign.
+    def reference(seq, x):
+        if x is None:
+            values = [p[-1] for p in seq]
+        else:
+            t = Fraction(*x)
+            values = [sum(c * t**k for k, c in enumerate(p)) for p in seq]
+        signs = [v > 0 for v in values if v]
+        return sum(x != y for x, y in zip(signs, signs[1:]))
+
+    rng = random.Random(3201)
+    vanishing = 0
+    for _ in range(3000):
+        small, large = (rng.randint(0, 9), rng.randint(2, 9)), (rng.randint(0, 10**9), rng.randint(2, 10**9))
+        a, b = rng.choice([(0, 1), small, large])
+        seq = []
+        for _ in range(rng.randint(1, 5)):
+            degree = rng.randint(0, 6)
+            root = degree and rng.random() < 0.4  # a factor b t - a: the value at a/b is 0
+            p = [rng.choice((0, 0, 1, -1, 2, -5)) for _ in range(degree - root)]
+            p.append(rng.choice((1, -1, 3, -7)))
+            if root:
+                p = [b * y - a * x for x, y in zip(p + [0], [0] + p)]
+            vanishing += bool(root)
+            seq.append(p)
+        points = [(a, b), None, (0, 1)]
+        rng.shuffle(points)
+        assert knots._variations(seq, *points) == [reference(seq, x) for x in points], (seq, points)
+    assert vanishing > 1000, vanishing
+
+
 def test_cos_fixed_shifts_before_it_divides():
     # floor(floor(t / 2^s) / c) = floor(t / (2^s c)) for t >= 0, so the
     # fixed-point cosine equals the formula that divides once by c 2^(2w).
@@ -942,6 +966,14 @@ def test_integer_inertia_matches_fraction_oracle():
             bases.append(_congruent(m, _unimodular(rng, n)))
     assert [_symmetric_inertia(m) for m in seeds] == [(2, 1, 0), (1, 2, 0)]
     for m in bases:
+        assert _symmetric_inertia(m) == fraction_inertia(m), m
+    # Sparse forms: the second step meets a row whose lead is 0 and divides
+    # it by the first pivot, 2 or, negated, -2; and a zero corner with a
+    # later nonzero diagonal entry, so row 0 is not the first pivot.
+    zero_leads = [[2, 0, 0, 1], [0, 3, 0, 1], [0, 0, 5, 1], [1, 1, 1, 4]]
+    sparse = [zero_leads, [[-x for x in row] for row in zero_leads], [[0, 1, 0], [1, 2, 1], [0, 1, -3]]]
+    assert [_symmetric_inertia(m) for m in sparse] == [(4, 0, 0), (0, 4, 0), (1, 2, 0)]
+    for m in sparse:
         assert _symmetric_inertia(m) == fraction_inertia(m), m
     assert _symmetric_inertia([]) == (0, 0, 0)
     assert _symmetric_inertia([[0, 1], [1, 0]]) == (1, 1, 0)

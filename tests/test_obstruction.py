@@ -874,6 +874,23 @@ def test_load_knots_error_reporting(tmp_path):
             {"g": 1, "a": [1, 3, 1], "v_treshold": 0, "v_threshold": 0},
             "bad hf data: unknown key 'v_treshold'",
         ),
+        # lambda is -2 times Casson's integer invariant: no integral homology
+        # sphere has an odd or fractional one.
+        (
+            "lambda_ambient",
+            "-2/3",
+            "bad lambda_ambient: need an even integer for an integral homology sphere, got -2/3",
+        ),
+        (
+            "lambda_ambient",
+            1,
+            "bad lambda_ambient: need an even integer for an integral homology sphere, got 1",
+        ),
+        (
+            "lambda_ambient",
+            "3",
+            "bad lambda_ambient: need an even integer for an integral homology sphere, got 3",
+        ),
     ],
 )
 def test_loader_messages_for_non_integral_and_invalid_fields(tmp_path, field, value, message):
