@@ -5,7 +5,8 @@ determinant in X = (1 - T)/(1 + T) per matrix), its second derivative at 1,
 Tristram-Levine signatures at roots of unity (exact: constant on the arcs
 between the roots of the jump polynomial D(u), u = tan^2(theta/2), which
 Sturm sequences isolate; arc 0 is 0, and an integer congruence reduction
-runs only on the arcs that the jump count and the last arc leave open), the
+runs only on the arcs that a divide-and-conquer search for staircases
+between known arcs leaves open), the
 total signature sum (by counting the roots of unity on each arc: O(log m)
 placements per jump, none per root), and recognition of the
 Alexander-polynomial shape forced by L-space surgeries.
@@ -533,13 +534,18 @@ def _jumps(matrix: SeifertMatrix):
 @lru_cache(maxsize=None)
 def _pi_fixed(w: int) -> tuple[int, int]:
     """(p, e) with |pi * 2^w - p| <= e, from Machin's formula
-    pi = 16 atan(1/5) - 4 atan(1/239) summed in w-bit fixed point."""
+    pi = 16 atan(1/5) - 4 atan(1/239) summed in fixed point at w + 8 bits.
+
+    That sum is off by e' (16 and 4 times the two series' truncation
+    errors); flooring it by 2^8 leaves at most e'/2^8 + 1 < (e' >> 8) + 2,
+    so e is at most 3 for w <= 60 and 4 for w <= 150; the unguarded sum
+    at w bits has a bound of up to 244 for w <= 60."""
 
     def atan_inv(n):
-        # Term k is floor(2^w / ((2k+1) n^(2k+1))), less than 1 below the
-        # true term, and once the power reaches 0 the alternating tail is
-        # below 1: k terms are off by less than k + 1 in all.
-        total, power, k = 0, (1 << w) // n, 0
+        # Term k is floor(2^(w+8) / ((2k+1) n^(2k+1))), less than 1 below
+        # the true term, and once the power reaches 0 the alternating tail
+        # is below 1: k terms are off by less than k + 1 in all.
+        total, power, k = 0, (1 << (w + 8)) // n, 0
         while power:
             term = power // (2 * k + 1)
             total += -term if k % 2 else term
@@ -549,7 +555,7 @@ def _pi_fixed(w: int) -> tuple[int, int]:
 
     a, err_a = atan_inv(5)
     b, err_b = atan_inv(239)
-    return 16 * a - 4 * b, 16 * err_a + 4 * err_b
+    return (16 * a - 4 * b) >> 8, ((16 * err_a + 4 * err_b) >> 8) + 2
 
 
 def _cos_fixed(a: int, b: int, w: int) -> tuple[int, int]:
@@ -600,12 +606,12 @@ def _arc_at(seq, zero: int, r: int, m: int) -> int:
     number of roots of D below u, for zero the sign variations of seq at 0.
     The enclosure is refined until it holds no root of D, as it must once
     it is narrower than u's distance to the nearest root.  It starts at
-    w = 24 + 2 log2(m) bits: the cosine c is off by e 2^-w (e a few
-    hundred) and 1 - c and 1 + c are at least about (pi/m)^2 / 2, so the
-    first enclosure is at most about 4 e m^2 2^-w / pi^2 < e 2^-25 of u
-    wide, below 2 10^-5 of u for m up to 10^18, and only a root of D
-    closer to u than that costs refinements."""
-    w = 24 + 2 * m.bit_length()
+    w = 4 + 2 bit_length(m) bits: the cosine c is off by e 2^-w, e from 9 to 38
+    for m up to 10^18 with the guarded pi, and 1 - c and 1 + c are at least
+    about (pi/m)^2 / 2, so as 2^w >= 16 m^2 the first enclosure is at most
+    about 4 e m^2 2^-w / pi^2 <= e / (4 pi^2) of u wide, and only a root of
+    D that close to u costs a doubling."""
+    w = 4 + 2 * m.bit_length()
     while True:
         below, above = _variations(seq, *_tan2_enclosure(r, m, w))
         if below == above:
@@ -670,10 +676,14 @@ def _arc_signature(matrix: SeifertMatrix, arc: int) -> int:
     determinant is a nonzero real multiple of D(t^2) (1 + t^2)^k.  Arc 0 is
     0: as t -> 0 the form tends to iK, nondegenerate as K is unimodular,
     with eigenvalues in +- pairs.  The last arc holds xi = -1, where H = 2S.
-    At a simple root of D the nullity is 1, so the signature moves by +-2;
-    when D is squarefree and the last arc's signature is 2 jumps in size,
-    every step has one sign and arc j is j/jumps of it.  Any other arc
-    goes to _arc_inertia.
+    At a simple root of D the nullity is 1, so the signature moves by +-2.
+    So when D is squarefree and arcs lo < hi differ by 2 (hi - lo), every
+    step between has one sign and each arc between is forced.  Otherwise
+    the middle arc, read through this cache, splits the interval, and the
+    search goes on in the half holding the asked arc, which _arc_inertia
+    reduces once it is the middle.  The first interval is arc 0 against the
+    last arc, so a staircase costs one cached read.  When D has a repeated
+    root nothing is forced, and every middle arc goes to _arc_inertia.
     """
     if not arc:
         return 0
@@ -681,10 +691,18 @@ def _arc_signature(matrix: SeifertMatrix, arc: int) -> int:
     if arc == jumps:
         a = matrix.entries
         return _signature([[x + y for x, y in zip(row, col)] for row, col in zip(a, zip(*a))], 1)
-    last = _arc_signature(matrix, jumps)
-    if simple and abs(last) == 2 * jumps:
-        return arc * last // jumps
-    return _arc_inertia(matrix, arc)
+    if not simple:
+        return _arc_inertia(matrix, arc)
+    lo, sig_lo, hi, sig_hi = 0, 0, jumps, _arc_signature(matrix, jumps)
+    while abs(sig_hi - sig_lo) != 2 * (hi - lo):
+        mid = (lo + hi) // 2
+        if arc == mid:
+            return _arc_inertia(matrix, arc)
+        if arc < mid:
+            hi, sig_hi = mid, _arc_signature(matrix, mid)
+        else:
+            lo, sig_lo = mid, _arc_signature(matrix, mid)
+    return sig_lo + (arc - lo) * (sig_hi - sig_lo) // (hi - lo)
 
 
 def _arc_inertia(matrix: SeifertMatrix, arc: int) -> int:
@@ -717,10 +735,11 @@ def tl_signature(matrix: SeifertMatrix, r: int, m: int) -> int:
     """Tristram-Levine signature at xi = exp(2*pi*i*r/m), 0 < r < m.
 
     Exact: xi is placed on its arc between jumps by Sturm counts at the
-    ends of a rigorous rational enclosure of tan^2(pi*r/m), refined until
-    both counts agree, and the arc's signature is 0 on arc 0, forced by
-    the jumps on a staircase, or else the pivot signs of a fraction-free
-    integer congruence reduction (see _arc_signature).  Raises
+    ends of a rigorous rational enclosure of tan^2(pi*r/m), its width in
+    bits doubled until both counts agree (see _arc_at),
+    and the arc's signature is 0 on arc 0, forced by the jumps where two
+    known arcs bound a staircase, or else the pivot signs of a
+    fraction-free integer congruence reduction (see _arc_signature).  Raises
     SingularValueError when the Alexander polynomial vanishes at xi.  No
     memo per (r, m): only _jumps and _arc_signature cache, per matrix.
     """

@@ -634,6 +634,19 @@ def test_arc_rule_matches_the_inertia_on_every_arc(corpus, clear_caches, monkeyp
     assert [_arc_signature(a, arc) for arc in range(4)] == [0, -4, -2, -6]
 
 
+def test_staircase_search_reduces_only_the_arcs_it_splits_at(clear_caches, monkeypatch):
+    # Torus knots whose signature steps change direction: the search forces
+    # every arc between two known ones 2 per jump apart and reduces only the
+    # middle arcs it splits at, each once.
+    reduced = []
+    monkeypatch.setattr(knots, "_arc_inertia", lambda a, arc: reduced.append(arc) or _arc_inertia(a, arc))
+    for (p, q), reductions in (((5, 6), 3), ((6, 7), 5)):
+        clear_caches()
+        reduced.clear()
+        assert sigma_total(torus_seifert(p, q), 61) == litherland_sigma_total(p, q, 61), (p, q)
+        assert len(reduced) == len(set(reduced)) == reductions, (p, q, reduced)
+
+
 def test_cyclotomic_factors_are_bounded_by_the_jumps(corpus):
     # Phi_d | Delta puts phi(d)/2 distinct jumps on the upper semicircle, and
     # never happens for d <= 2: the singularity test divides by no other.
@@ -811,6 +824,31 @@ def test_arc_placement_refines_a_wide_enclosure(corpus, clear_caches, monkeypatc
     assert placed and len(asked) > len(placed)
 
 
+def test_arc_placement_rarely_refines(corpus, clear_caches, monkeypatch):
+    # _arc_at's first enclosure, from the guarded pi, holds a root of D
+    # only when one is about as close to u as its width: over
+    # every placement that the total and the single signatures make, at most
+    # 1.01 enclosures are asked for per placement.
+    rng = random.Random(3301)
+    matrices = [r.seifert for r in corpus if r.seifert is not None and r.seifert.size]
+    matrices += [random_seifert(rng, 1 + i % 4) for i in range(20)]
+    matrices += [torus_seifert(p, q) for p, q in ((2, 3), (3, 5), (4, 5), (5, 6))]
+    enclosure, arc_at = knots._tan2_enclosure, knots._arc_at
+    asked, placed = [], []
+    monkeypatch.setattr(knots, "_tan2_enclosure", lambda *args: asked.append(args) or enclosure(*args))
+    monkeypatch.setattr(knots, "_arc_at", lambda *args: placed.append(args) or arc_at(*args))
+    clear_caches()
+    for a in matrices:
+        for m in [*range(1, 61), 10**6 + 3, 10**9 + 7, 10**18 + 3]:
+            rs = range(1, m) if m <= 60 else (1, 2, m // 4, m // 4 + 1, m // 3, m // 2, m - 1)
+            for f, args in [(sigma_total, (a, m)), *((tl_signature, (a, r, m)) for r in rs)]:
+                try:
+                    f(*args)
+                except SingularValueError:
+                    pass
+    assert len(placed) > 20000 and len(asked) <= 1.01 * len(placed), (len(asked), len(placed))
+
+
 def test_sigma_total_reads_the_sturm_count_at_zero_once_per_sum(corpus, clear_caches, monkeypatch):
     # _arc_counts reads the sign variations at u = 0 once and shares them
     # with every placement; _jumps and the arcs' signatures, cached per
@@ -901,11 +939,38 @@ def test_cos_fixed_shifts_before_it_divides():
         assert knots._cos_fixed(a, b, w) == floor_formula(a, b, w), (a, b, w)
 
 
-def test_tan2_enclosure_at_the_first_width_contains_true_value():
-    # _arc_at's first enclosure has 24 + 2 log2(m) bits, not a fixed 64; on
-    # the cases of test_tan2_enclosure_contains_true_value it must still
-    # hold tan^2(pi r/m).
+def test_pi_fixed_is_within_its_bound_of_a_few_units():
+    # Machin's sum at w + 8 bits floored by 2^8: pi 2^w is within e of p at
+    # every w, and e <= 4 for w <= 150, every first width of _arc_at for
+    # m < 2^73.  The reference is floor(pi 2^top) from mpmath with 64 guard
+    # bits, so pi 2^w lies in [big, big + 1) / 2^(top - w).
     import mpmath
+
+    top = 1100 + 64
+    with mpmath.workprec(top + 64):
+        big = int(mpmath.floor(mpmath.pi * mpmath.mpf(2) ** top))
+    for w in range(4, 1101):
+        p, e = knots._pi_fixed(w)
+        shift = top - w
+        assert (p - e) << shift <= big and big + 1 <= (p + e) << shift, (w, p, e)
+        assert w > 150 or e <= 4, (w, e)
+
+
+def test_tan2_enclosure_at_the_first_width_contains_true_value(monkeypatch):
+    # _arc_at's first enclosure has about 2 log2(m) bits, not a fixed 64; on
+    # the cases of test_tan2_enclosure_contains_true_value it must still
+    # hold tan^2(pi r/m).  The width is the one _arc_at asks for first,
+    # read by placing u against D = 1, which has no root to refine around.
+    import mpmath
+
+    asked = []
+    monkeypatch.setattr(knots, "_tan2_enclosure", lambda r, m, w: asked.append(w) or _tan2_enclosure(r, m, w))
+
+    def first_width(r, m):
+        asked.clear()
+        knots._arc_at(((1,),), 0, r, m)
+        (w,) = asked
+        return w
 
     rng = random.Random(36)
     big = 10**9 + 7
@@ -915,7 +980,7 @@ def test_tan2_enclosure_at_the_first_width_contains_true_value():
         m = rng.choice([rng.randint(3, 60), rng.randint(61, 10**6), rng.randint(10**6, 10**12)])
         cases.append((rng.randint(1, (m - 1) // 2), m))
     for r, m in cases:
-        w = 24 + 2 * m.bit_length()
+        w = first_width(r, m)
         with mpmath.workdps(100):
             true = mpmath.tan(mpmath.pi * r / m) ** 2
             lo, hi = (x if x is None else Fraction(*x) for x in _tan2_enclosure(r, m, w))
