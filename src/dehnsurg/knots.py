@@ -511,10 +511,13 @@ def _roots_upto(seq, x) -> int:
 @lru_cache(maxsize=None)
 def _jumps(matrix: SeifertMatrix):
     """(the Sturm sequence of D, the number of jumps in (0, pi), whether D
-    is squarefree), where D(u) = (1 + u)^deg * Delta(e^(i theta)).
-    D(0) = Delta(1) = 1 and the top coefficient of D is Delta(-1) != 0, so
-    the jumps are exactly the positive roots of D.  _sturm divides out
-    repeated factors, so D is squarefree when its first entry is as long.
+    is squarefree, the sequence's sign variations at u = 0), where D(u) =
+    (1 + u)^deg * Delta(e^(i theta)).  D(0) = Delta(1) = 1 and the top
+    coefficient of D is Delta(-1) != 0, so the jumps are exactly the
+    positive roots of D, counted as the variations at 0 less those at
+    +infinity; the count at 0 is kept for _arc_at, which counts the roots
+    below a point from it.  _sturm divides out repeated factors, so D is
+    squarefree when its first entry is as long.
 
     D is read off the packed digits the constructor keeps, with no second
     Cayley map.  The Cayley image of det(K + z S) = sum_j e_j z^(2j) is
@@ -528,7 +531,8 @@ def _jumps(matrix: SeifertMatrix):
     for _ in range(matrix.size // 2 - matrix.alexander.degree):
         d = _poly_divexact(d, [1, 1])
     seq = _sturm(d)
-    return seq, _roots_upto(seq, None), len(seq[0]) == len(d)
+    zero, top = _variations(seq, (0, 1), None)
+    return seq, zero - top, len(seq[0]) == len(d), zero
 
 
 @lru_cache(maxsize=None)
@@ -619,16 +623,16 @@ def _arc_at(seq, zero: int, r: int, m: int) -> int:
         w *= 2
 
 
-def _arc_counts(seq, jumps: int, m: int) -> list[int]:
+def _arc_counts(seq, zero: int, jumps: int, m: int) -> list[int]:
     """For each arc, how many r in 1 .. (m-1)/2 have tan^2(pi r/m) on it,
-    none of them a root of D.  The arc never decreases with r, so bisection
-    finds each boundary: O(jumps * log m) placements, none per r, and none
-    at all without jumps, when every r is on arc 0."""
+    none of them a root of D, from seq's variations at 0 and the jump
+    count as _jumps gives them.  The arc never decreases with r, so
+    bisection finds each boundary: O(jumps * log m) placements, none per r,
+    and none at all without jumps, when every r is on arc 0."""
     top = (m - 1) // 2
     if not jumps or not top:
         return [top] + [0] * jumps
     counts = [0] * (jumps + 1)
-    (zero,) = _variations(seq, (0, 1))
 
     def split(lo, arc_lo, hi, arc_hi):
         # r in (lo, hi]; arc_lo is the arc of lo (0 for lo = 0), arc_hi of hi.
@@ -687,7 +691,7 @@ def _arc_signature(matrix: SeifertMatrix, arc: int) -> int:
     """
     if not arc:
         return 0
-    _, jumps, simple = _jumps(matrix)
+    _, jumps, simple, _ = _jumps(matrix)
     if arc == jumps:
         a = matrix.entries
         return _signature([[x + y for x, y in zip(row, col)] for row, col in zip(a, zip(*a))], 1)
@@ -736,12 +740,13 @@ def tl_signature(matrix: SeifertMatrix, r: int, m: int) -> int:
 
     Exact: xi is placed on its arc between jumps by Sturm counts at the
     ends of a rigorous rational enclosure of tan^2(pi*r/m), its width in
-    bits doubled until both counts agree (see _arc_at),
-    and the arc's signature is 0 on arc 0, forced by the jumps where two
-    known arcs bound a staircase, or else the pivot signs of a
-    fraction-free integer congruence reduction (see _arc_signature).  Raises
-    SingularValueError when the Alexander polynomial vanishes at xi.  No
-    memo per (r, m): only _jumps and _arc_signature cache, per matrix.
+    bits doubled until both counts agree, taken from the count at u = 0
+    that _jumps keeps (see _arc_at), and the arc's signature is 0 on arc
+    0, forced by the jumps where two known arcs bound a staircase, or else
+    the pivot signs of a fraction-free integer congruence reduction (see
+    _arc_signature).  Raises SingularValueError when the Alexander
+    polynomial vanishes at xi.  No memo per (r, m): only _jumps and
+    _arc_signature cache, per matrix.
     """
     if not 0 < r < m:
         raise ValueError("need 0 < r < m")
@@ -750,12 +755,12 @@ def tl_signature(matrix: SeifertMatrix, r: int, m: int) -> int:
     g = math.gcd(r, m)
     d = m // g
     k = min(r // g, d - r // g)  # xi and its conjugate have one signature
-    seq, jumps, _ = _jumps(matrix)
+    seq, jumps, _, zero = _jumps(matrix)
     if _alexander_vanishes_at(matrix.alexander, d, jumps):
         raise SingularValueError(r, m)
     if 2 * k == d or not jumps:
         return _arc_signature(matrix, jumps)
-    return _arc_signature(matrix, _arc_at(seq, _variations(seq, (0, 1))[0], k, d))
+    return _arc_signature(matrix, _arc_at(seq, zero, k, d))
 
 
 def sigma_total(matrix: SeifertMatrix, m: int) -> int:
@@ -783,11 +788,11 @@ def sigma_total(matrix: SeifertMatrix, m: int) -> int:
 def _sigma_total_cached(matrix: SeifertMatrix, m: int) -> int | SingularValueError:
     if not matrix.entries:
         return 0
-    seq, jumps, _ = _jumps(matrix)
+    seq, jumps, _, zero = _jumps(matrix)
     for d in range(min(m, 8 * jumps * jumps), 2, -1):
         if m % d == 0 and _alexander_vanishes_at(matrix.alexander, d, jumps):
             return SingularValueError(m // d, m)
-    counts = _arc_counts(seq, jumps, m)
+    counts = _arc_counts(seq, zero, jumps, m)
     total = sum(2 * n * _arc_signature(matrix, arc) for arc, n in enumerate(counts) if n)
     if m % 2 == 0:
         total += _arc_signature(matrix, jumps)

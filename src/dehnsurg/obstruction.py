@@ -164,10 +164,11 @@ def _signed_inputs(record: KnotRecord, sign: int):
     return lam, hf
 
 
-def _hf_rank(hf: KnotFloerData, p: int, q: int) -> int:
-    """Rank of hat HF of p/q surgery, by the closed formula: the infinite
-    slope (q = 0) returns the ambient integral homology L-space, rank 1."""
-    return rank_formula(hf, Slope(p, q)) if q else 1
+def _hf_rank(hf: KnotFloerData, slope: Slope) -> int:
+    """Rank of hat HF of the surgery on slope, by the closed formula: the
+    infinite slope (q = 0) returns the ambient integral homology L-space,
+    rank 1."""
+    return rank_formula(hf, slope) if slope.q else 1
 
 
 def _stages(record: KnotRecord, slopes, sign: int, us=None):
@@ -193,7 +194,7 @@ def _stages(record: KnotRecord, slopes, sign: int, us=None):
     if delta2 != 0:
         yield BY_CASSON_WALKER, *_casson_walker(lam, delta2, slopes, us)
     elif hf is not None:
-        ranks = [_hf_rank(hf, p, q) for p, q in slopes]
+        ranks = [_hf_rank(hf, Slope(p, q)) for p, q in slopes]
         yield BY_HF_RANK, ranks, ranks.__getitem__
 
 
@@ -229,12 +230,15 @@ def full_invariants(record: KnotRecord, slope: Slope):
     """All computable invariants of one surgered manifold, decision-free.
 
     Returns (casson_walker, casson_gordon_or_None, hf_rank_or_None), each
-    value built as one fraction, or an int for the rank; the Casson-Gordon
+    value built as one fraction, or an int for the rank; the Casson-Walker
+    value comes straight from the key and value formulas the Casson-Walker
+    stage shares (_casson_walker_at); the Casson-Gordon
     value needs a Seifert matrix for the signature term, and is None also
     when the Alexander polynomial vanishes at a |p|-th root of unity, where
     sigma(K, |p|) is undefined; the rank needs knot Floer data and comes
-    from the closed formula, as in the rank stage (the mapping cone runs
-    in ``dehnsurg hf-rank`` and in the tests).
+    from the closed formula on the given slope, as in the rank stage
+    (_hf_rank; the mapping cone runs in ``dehnsurg hf-rank`` and in the
+    tests).
     """
     p, q = slope.p, slope.q
     u, den = _numerator(slope)  # one Euclid pass serves both formulas
@@ -245,7 +249,7 @@ def full_invariants(record: KnotRecord, slope: Slope):
             tau = _casson_gordon(sigma_total(record.seifert, abs(p)), p, u, den)
         except SingularValueError:
             pass
-    rank = _hf_rank(record.hf, p, q) if record.hf is not None else None
+    rank = _hf_rank(record.hf, slope) if record.hf is not None else None
     return lam, tau, rank
 
 

@@ -156,24 +156,34 @@ def _numerator(slope: Slope) -> tuple[int, int]:
     return dedekind_numerator(slope.q, slope.p)
 
 
+def _cw_key(delta2: int, p: int, q: int, u: int) -> int:
+    """The integer key u - 12 sgn(p) q delta2 of the surgery p/q, with
+    s(q,p) = u/den and den = 12|p|: (den/p) q delta2 is 12 sgn(p) q delta2."""
+    return u - (12 if p > 0 else -12) * q * delta2
+
+
+def _cw_value(n: int, d: int, p: int, key: int) -> Fraction:
+    """lambda(Y) + key/den for lambda(Y) = n/d and den = 12|p|, as the one
+    fraction (den n + key d)/(den d)."""
+    den = 12 * abs(p)
+    return Fraction(den * n + key * d, den * d)
+
+
 def _casson_walker(lam, delta2: int, slopes, us):
-    """The integer keys u - (den/p) q delta2 of the surgeries (p, q) =
-    slopes[i], s(q,p) = u/den with u = us[i] and den = 12|p|, and the
-    function i -> lambda(Y) + s(q,p) - (q/p) delta2 = lambda(Y) + key/den:
-    one fraction from the ratio n/d of lambda(Y), read once here."""
-    keys = [u - (12 if p > 0 else -12) * q * delta2 for u, (p, q) in zip(us, slopes)]  # den/p
+    """The keys _cw_key of the surgeries (p, q) = slopes[i], s(q,p) =
+    u/(12|p|) with u = us[i], and the function i -> lambda(Y) + s(q,p) -
+    (q/p) delta2 = lambda(Y) + key/(12|p|) (_cw_value), with the ratio n/d
+    of lambda(Y) read once here."""
+    keys = [_cw_key(delta2, p, q, u) for u, (p, q) in zip(us, slopes)]
     n, d = lam.as_integer_ratio()
-
-    def value(i):
-        den = 12 * abs(slopes[i][0])
-        return Fraction(den * n + keys[i] * d, den * d)
-
-    return keys, value
+    return keys, lambda i: _cw_value(n, d, slopes[i][0], keys[i])
 
 
 def _casson_walker_at(lam, delta2: int, p: int, q: int, u: int) -> Fraction:
-    """_casson_walker's value at the one surgery p/q, with s(q,p) = u/(12|p|)."""
-    return _casson_walker(lam, delta2, ((p, q),), (u,))[1](0)
+    """_casson_walker's value at the one surgery p/q, with s(q,p) =
+    u/(12|p|): the same key and value formulas, with no tuple, key list or
+    closure built."""
+    return _cw_value(*lam.as_integer_ratio(), p, _cw_key(delta2, p, q, u))
 
 
 def _casson_gordon(sigma_p: int, p: int, u: int, den: int) -> Fraction:

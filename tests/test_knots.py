@@ -54,7 +54,7 @@ from dehnsurg.knots import (
     _trim,
     cyclotomic_polynomial,
 )
-from torus import torus_seifert
+from torus import litherland_sigma_total, torus_seifert
 
 TREFOIL = SeifertMatrix([[-1, 1], [0, -1]])
 FIGURE_EIGHT = SeifertMatrix([[1, 1], [0, -1]])
@@ -329,27 +329,6 @@ def fraction_inertia(m):
             for ia, a in enumerate(rest)
         ]
     return pos, neg, zero
-
-
-def litherland_sigma_total(p, q, m):
-    """Test-only oracle for the torus knot T(p, q) (Litherland, "Signatures
-    of iterated torus knots", 1979): the signature at e^(2 pi i x) is
-    -(#inside - #outside) over v = i/p + j/q, 0 < i < p, 0 < j < q, where
-    inside means x < v < x + 1.  Summed over x = r/m with floor counts, so
-    O(pq) at any m; None where some r/m is a jump, v or v - 1."""
-    big_p = p * q
-    total = 0
-    for i in range(1, p):
-        for j in range(1, q):
-            n = i * q + j * p  # v = n / big_p, in (0, 2)
-            if m * n % big_p == 0:
-                return None
-            # r in [1, m - 1] with m(n - big_p) < r big_p < m n
-            low = max(1, m * (n - big_p) // big_p + 1)
-            high = min(m - 1, m * n // big_p)
-            inside = max(0, high - low + 1)
-            total += 2 * inside - (m - 1)
-    return -total
 
 
 def test_seifert_validation():
@@ -850,9 +829,10 @@ def test_arc_placement_rarely_refines(corpus, clear_caches, monkeypatch):
 
 
 def test_sigma_total_reads_the_sturm_count_at_zero_once_per_sum(corpus, clear_caches, monkeypatch):
-    # _arc_counts reads the sign variations at u = 0 once and shares them
-    # with every placement; _jumps and the arcs' signatures, cached per
-    # matrix, are computed first, as they read u = 0 on their own.
+    # _jumps keeps the sign variations at u = 0 that count the jumps, and
+    # _arc_counts shares them with every placement, so once _jumps and the
+    # arcs' signatures, cached per matrix and reading u = 0 on their own,
+    # are computed, no sum reads u = 0 again.
     variations = knots._variations
     zero_reads = []
 
@@ -877,8 +857,8 @@ def test_sigma_total_reads_the_sturm_count_at_zero_once_per_sum(corpus, clear_ca
             except SingularValueError:
                 assert zero_reads == [], (record.name, m)
                 continue
-            assert len(zero_reads) == (1 if jumps and m >= 3 else 0), (record.name, m)
-            sums += bool(zero_reads)
+            assert zero_reads == [], (record.name, m)
+            sums += bool(jumps and m >= 3)
     assert sums >= 5 * 50
 
 
@@ -1544,7 +1524,8 @@ def test_cayley_applied_twice_multiplies_by_two_to_the_n():
 
 def test_jumps_match_the_two_cos_oracle(corpus):
     # D(u) from the Cayley image of Delta against the former route through
-    # Delta in 2cos(theta), with the same jump count and squarefree flag.
+    # Delta in 2cos(theta), with the same jump count and squarefree flag,
+    # and the sign variations at u = 0 that count the jumps.
     rng = random.Random(73)
     matrices = [r.seifert for r in corpus if r.seifert is not None]
     matrices += [random_seifert(rng, genus) for genus in range(1, 13)]
@@ -1559,7 +1540,8 @@ def test_jumps_match_the_two_cos_oracle(corpus):
     for a in matrices + [a.mirror() for a in matrices]:
         d = _in_u(_in_two_cos(a.alexander.a0, a.alexander.higher))
         seq = _sturm(d)
-        assert _jumps(a) == (seq, _roots_upto(seq, None), len(seq[0]) == len(d)), a.entries
+        want = (seq, _roots_upto(seq, None), len(seq[0]) == len(d), knots._variations(seq, (0, 1))[0])
+        assert _jumps(a) == want, a.entries
 
 
 def fraction_primitive(p) -> tuple:

@@ -568,6 +568,36 @@ def test_full_invariants_values(corpus_by_name):
     assert rank == 2
 
 
+FULL_INVARIANTS_SHA256 = "0268c482a16afabd5bcdd08dc4a4a8d959b21987c98d5dd73711916535bb7905"
+
+
+def test_full_invariants_values_are_pinned(corpus):
+    # lambda,tau,rank as text, one line per (record, slope), for the nine
+    # bundled records at 1/0 and every reduced p/q with 1 <= |p| <= 13,
+    # 1 <= q <= 13: 2,079 cases.
+    slopes = [Slope(1, 0)] + reduced_slopes(13, 13)
+    lines = [",".join(map(str, full_invariants(record, slope))) for record in corpus for slope in slopes]
+    assert len(corpus) == 9 and len(lines) == 2079
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == FULL_INVARIANTS_SHA256
+
+
+def test_full_invariants_builds_no_slope(corpus, monkeypatch):
+    # full_invariants ranks the slope it is given: with obstruction's Slope
+    # raising, every record with knot Floer data gets the same values at
+    # both signs and at 1/0.
+    slopes = [Slope(1, 0)] + reduced_slopes(7, 7)
+    records = [record for record in corpus if record.hf is not None]
+    want = {(record.name, slope): full_invariants(record, slope) for record in records for slope in slopes}
+
+    def boom(*args):
+        raise AssertionError(f"full_invariants built Slope{args}")
+
+    monkeypatch.setattr("dehnsurg.obstruction.Slope", boom)
+    for record in records:
+        for slope in slopes:
+            assert full_invariants(record, slope) == want[record.name, slope], (record.name, slope)
+
+
 def test_full_invariants_builds_one_fraction_per_value(corpus, clear_caches, fraction_calls):
     # Each surgered value is one fraction from Dedekind integers, and the
     # signature term is placed without fractions.

@@ -1,5 +1,6 @@
-"""Torus knots from closed forms, for tests: the Seifert matrix of T(p, q)
-and its Alexander polynomial."""
+"""Torus knots from closed forms, for tests: the Seifert matrix of T(p, q),
+its Alexander polynomial and its total signature at the m-th roots of
+unity."""
 
 from dehnsurg import SeifertMatrix, SymLaurentPoly
 
@@ -41,3 +42,24 @@ def torus_alexander(p, q):
     assert not any(num), (p, q)  # the division is exact
     g = (p - 1) * (q - 1) // 2
     return SymLaurentPoly(quotient[g], quotient[g + 1 :])
+
+
+def litherland_sigma_total(p, q, m):
+    """Test-only oracle for the torus knot T(p, q) (Litherland, "Signatures
+    of iterated torus knots", 1979): the signature at e^(2 pi i x) is
+    -(#inside - #outside) over v = i/p + j/q, 0 < i < p, 0 < j < q, where
+    inside means x < v < x + 1.  Summed over x = r/m with floor counts, so
+    O(pq) at any m; None where some r/m is a jump, v or v - 1."""
+    big_p = p * q
+    total = 0
+    for i in range(1, p):
+        for j in range(1, q):
+            n = i * q + j * p  # v = n / big_p, in (0, 2)
+            if m * n % big_p == 0:
+                return None
+            # r in [1, m - 1] with m(n - big_p) < r big_p < m n
+            low = max(1, m * (n - big_p) // big_p + 1)
+            high = min(m - 1, m * n // big_p)
+            inside = max(0, high - low + 1)
+            total += 2 * inside - (m - 1)
+    return -total
