@@ -465,21 +465,14 @@ def _sturm(p) -> tuple:
     return tuple(seq)
 
 
-def _homogeneous(p, a: int, b: int) -> int:
-    """b^deg * p(a/b) for b > 0: an integer with the sign of p(a/b)."""
-    v, bpow = 0, 1
-    for c in reversed(p):
-        v = v * a + c * bpow
-        bpow *= b
-    return v
-
-
 def _variations(seq, *points) -> list[int]:
     """Sign changes along the sequence at each point: (a, b) for a/b with
     b > 0, or None for +infinity.  One pass per point: each entry's value
-    is b^deg p(a/b) by inline Horner, as in _homogeneous (its top
-    coefficient at +infinity), zero values are skipped, and a change is a
-    nonzero value whose sign differs from the last nonzero one."""
+    is the integer b^deg p(a/b), with the sign of p(a/b), by inline Horner
+    (its top coefficient at +infinity), zero values are skipped, and a
+    change is a nonzero value whose sign differs from the last nonzero one.
+    For a squarefree sequence, the count at 0 less that at a/b counts the
+    distinct roots in (0, a/b]."""
     counts = []
     for x in points:
         n, last = 0, None
@@ -501,13 +494,6 @@ def _variations(seq, *points) -> list[int]:
     return counts
 
 
-def _roots_upto(seq, x) -> int:
-    """Number of distinct roots in (0, a/b] for x = (a, b), or in (0, inf)
-    for None; exact for a squarefree sequence even at a root 0 or a/b."""
-    zero, upto = _variations(seq, (0, 1), x)
-    return zero - upto
-
-
 @lru_cache(maxsize=None)
 def _jumps(matrix: SeifertMatrix):
     """(the Sturm sequence of D, the number of jumps in (0, pi), whether D
@@ -515,9 +501,9 @@ def _jumps(matrix: SeifertMatrix):
     (1 + u)^deg * Delta(e^(i theta)).  D(0) = Delta(1) = 1 and the top
     coefficient of D is Delta(-1) != 0, so the jumps are exactly the
     positive roots of D, counted as the variations at 0 less those at
-    +infinity; the count at 0 is kept for _arc_at, which counts the roots
-    below a point from it.  _sturm divides out repeated factors, so D is
-    squarefree when its first entry is as long.
+    +infinity; the count at 0 is kept for _arc_at and _arc_point, which
+    count the roots below a point from it.  _sturm divides out repeated
+    factors, so D is squarefree when its first entry is as long.
 
     D is read off the packed digits the constructor keeps, with no second
     Cayley map.  The Cayley image of det(K + z S) = sum_j e_j z^(2j) is
@@ -650,10 +636,18 @@ def _arc_counts(seq, zero: int, jumps: int, m: int) -> list[int]:
     return counts
 
 
-def _arc_point(seq, arc: int) -> Fraction:
+def _arc_point(seq, zero: int, arc: int) -> Fraction:
     """The canonical t of an arc below the last one: bisect (0, top], top a
-    power of two with top^2 above every root, until a midpoint's square
-    lies strictly inside the arc."""
+    power of two with top^2 above every root, until a midpoint's square u
+    lies inside the arc, counting roots up to u from zero, seq's sign
+    variations at 0.  No u is a root of D, so none is the arc's left end.
+    As t is dyadic, u = r/s in lowest terms has s = 1, or s = 4^k with r
+    odd.  A root u = tan^2(theta/2) makes Delta vanish on the quadratic
+    (s + r) T^2 - 2 (s - r) T + (s + r), whose value 4r/c at T = 1, c its
+    content, divides Delta(1) = 1: 4r divides s + r (as at the trefoil's
+    u = 1/3).  But 4r > 1 + r, and at s = 4^k, r divides 4^k, so r = 1,
+    and 4 cannot divide the odd 4^k + 1.  Were this wrong, _signature would
+    still raise ArithmeticError on the singular form: no silent change."""
     p = seq[0]
     lo, hi, bound = Fraction(0), Fraction(1), 2 + max(map(abs, p[:-1]), default=0) // abs(p[-1])
     while hi * hi < bound:  # Cauchy's bound is above every root
@@ -661,11 +655,10 @@ def _arc_point(seq, arc: int) -> Fraction:
     while True:
         t = (lo + hi) / 2
         u = t * t
-        x = u.numerator, u.denominator
-        n = _roots_upto(seq, x)
+        n = zero - _variations(seq, (u.numerator, u.denominator))[0]
         if n > arc:
             hi = t
-        elif n < arc or not _homogeneous(p, *x):  # u is the arc's left end
+        elif n < arc:
             lo = t
         else:
             return t
@@ -715,7 +708,8 @@ def _arc_inertia(matrix: SeifertMatrix, arc: int) -> int:
     [[tS, -K], [K, tS]], scaled here by t's denominator."""
     entries = matrix.entries
     n = len(entries)
-    t = _arc_point(_jumps(matrix)[0], arc)
+    seq, _, _, zero = _jumps(matrix)
+    t = _arc_point(seq, zero, arc)
     a, b = t.numerator, t.denominator
     big = [[0] * (2 * n) for _ in range(2 * n)]
     for i in range(n):

@@ -231,8 +231,8 @@ def full_invariants(record: KnotRecord, slope: Slope):
 
     Returns (casson_walker, casson_gordon_or_None, hf_rank_or_None), each
     value built as one fraction, or an int for the rank; the Casson-Walker
-    value comes straight from the key and value formulas the Casson-Walker
-    stage shares (_casson_walker_at); the Casson-Gordon
+    value is _casson_walker_at's signed one-slope formula, which the
+    stages' p > 0 batch (_casson_walker) states too; the Casson-Gordon
     value needs a Seifert matrix for the signature term, and is None also
     when the Alexander polynomial vanishes at a |p|-th root of unity, where
     sigma(K, |p|) is undefined; the rank needs knot Floer data and comes

@@ -156,34 +156,23 @@ def _numerator(slope: Slope) -> tuple[int, int]:
     return dedekind_numerator(slope.q, slope.p)
 
 
-def _cw_key(delta2: int, p: int, q: int, u: int) -> int:
-    """The integer key u - 12 sgn(p) q delta2 of the surgery p/q, with
-    s(q,p) = u/den and den = 12|p|: (den/p) q delta2 is 12 sgn(p) q delta2."""
-    return u - (12 if p > 0 else -12) * q * delta2
-
-
-def _cw_value(n: int, d: int, p: int, key: int) -> Fraction:
-    """lambda(Y) + key/den for lambda(Y) = n/d and den = 12|p|, as the one
-    fraction (den n + key d)/(den d)."""
-    den = 12 * abs(p)
-    return Fraction(den * n + key * d, den * d)
-
-
 def _casson_walker(lam, delta2: int, slopes, us):
-    """The keys _cw_key of the surgeries (p, q) = slopes[i], s(q,p) =
-    u/(12|p|) with u = us[i], and the function i -> lambda(Y) + s(q,p) -
-    (q/p) delta2 = lambda(Y) + key/(12|p|) (_cw_value), with the ratio n/d
-    of lambda(Y) read once here."""
-    keys = [_cw_key(delta2, p, q, u) for u, (p, q) in zip(us, slopes)]
+    """The stages' Casson-Walker keys u - 12 q delta2 on the surgeries
+    (p, q) = slopes[i], s(q,p) = u/(12p) with u = us[i] and p > 0 (negative
+    pairs are mirrored), and the witness i -> lambda(Y) + s(q,p) - (q/p)
+    delta2 = lambda(Y) + key/(12p), with lambda(Y) = n/d read once."""
+    keys = [u - 12 * q * delta2 for u, (_, q) in zip(us, slopes)]
     n, d = lam.as_integer_ratio()
-    return keys, lambda i: _cw_value(n, d, slopes[i][0], keys[i])
+    return keys, lambda i: Fraction(12 * slopes[i][0] * n + keys[i] * d, 12 * slopes[i][0] * d)
 
 
 def _casson_walker_at(lam, delta2: int, p: int, q: int, u: int) -> Fraction:
-    """_casson_walker's value at the one surgery p/q, with s(q,p) =
-    u/(12|p|): the same key and value formulas, with no tuple, key list or
-    closure built."""
-    return _cw_value(*lam.as_integer_ratio(), p, _cw_key(delta2, p, q, u))
+    """lambda(Y) + s(q,p) - (q/p) delta2 at one surgery p/q of either sign,
+    s(q,p) = u/den with den = 12|p|, as (den n + (u - (den/p) q delta2) d)
+    / (den d) for lambda(Y) = n/d."""
+    n, d = lam.as_integer_ratio()
+    den = 12 * abs(p)
+    return Fraction(den * n + (u - (den // p) * q * delta2) * d, den * d)
 
 
 def _casson_gordon(sigma_p: int, p: int, u: int, den: int) -> Fraction:
@@ -197,7 +186,7 @@ def casson_walker_surgered(ambient: AmbientData, delta2: int, slope: Slope) -> F
     -s(q,p)/2 + (q/2p) Delta''(1)); for example S^3_{+1}(T_R), which is
     -Sigma(2,3,5), gives -2.  Requires p != 0 (the result must be a
     rational homology sphere).  One fraction from s(q,p) = u/(12|p|) and
-    lambda(Y) = n/d.
+    lambda(Y) = n/d, at either sign of p (_casson_walker_at).
     """
     return _casson_walker_at(ambient.lambda_value, delta2, slope.p, slope.q, _numerator(slope)[0])
 

@@ -39,6 +39,7 @@ from dehnsurg.cyclotomic import (
 from dehnsurg.knots import (
     _alexander_vanishes_at,
     _arc_inertia,
+    _arc_point,
     _arc_signature,
     _cayley,
     _int_det,
@@ -46,7 +47,6 @@ from dehnsurg.knots import (
     _packed_alexander,
     _poly_divexact,
     _prime_factors,
-    _roots_upto,
     _sturm,
     _symmetric_inertia,
     _tan2_enclosure,
@@ -626,6 +626,42 @@ def test_staircase_search_reduces_only_the_arcs_it_splits_at(clear_caches, monke
         assert len(reduced) == len(set(reduced)) == reductions, (p, q, reduced)
 
 
+def test_arc_point_is_a_dyadic_non_root_on_its_arc(corpus_by_name):
+    # _arc_point tests no midpoint for a root of D: its t must be dyadic,
+    # D(t^2) != 0 on the test's own D, and t^2 must lie on the asked arc of
+    # the closed-form jumps, tan^2(pi k/pq) for 0 < k < pq/2 with p, q not
+    # dividing k, here for torus knots of genus <= 6 and a block sum whose D
+    # has repeated roots, at both mirrors.
+    import mpmath
+
+    def torus_jumps(p, q):
+        return {Fraction(k, p * q) for k in range(1, (p * q + 1) // 2) if k % p and k % q}
+
+    pairs = [(p, q) for p in range(2, 6) for q in range(p + 1, 14) if math.gcd(p, q) == 1 and (p - 1) * (q - 1) <= 12]
+    cases = [(torus_seifert(p, q), torus_jumps(p, q)) for p, q in pairs]
+    t25, left = corpus_by_name["torus_2_5"].seifert, corpus_by_name["trefoil_left"].seifert
+    cases.append((block_sum(t25, t25, left), torus_jumps(2, 5) | torus_jumps(2, 3)))
+    start = time.perf_counter()
+    arcs = 0
+    with mpmath.workdps(60):
+        for a, angles in cases:
+            roots = sorted(mpmath.tan(mpmath.pi * x.numerator / x.denominator) ** 2 for x in angles)
+            d = _in_u(_in_two_cos(a.alexander.a0, a.alexander.higher))
+            for b in (a, a.mirror()):
+                seq, jumps, _, zero = _jumps(b)
+                assert jumps == len(roots), b.entries
+                for arc in range(jumps):
+                    t = _arc_point(seq, zero, arc)
+                    u = t * t
+                    assert t.denominator & (t.denominator - 1) == 0, (b.entries, arc, t)
+                    assert sum(c * u**i for i, c in enumerate(d)) != 0, (b.entries, arc, t)
+                    tu = mpmath.mpf(u.numerator) / u.denominator
+                    assert sum(root < tu for root in roots) == arc, (b.entries, arc, t)
+                    arcs += 1
+    assert arcs >= 60, arcs
+    assert time.perf_counter() - start < 2.0
+
+
 def test_cyclotomic_factors_are_bounded_by_the_jumps(corpus):
     # Phi_d | Delta puts phi(d)/2 distinct jumps on the upper semicircle, and
     # never happens for d <= 2: the singularity test divides by no other.
@@ -681,7 +717,8 @@ def _poly_jumps(poly):
     counts them, for a polynomial with no Seifert matrix."""
     d = knots._cayley(poly.as_int_poly())[::2]
     d[1::2] = [-x for x in d[1::2]]
-    return _roots_upto(_sturm(d), None)
+    zero, top = knots._variations(_sturm(d), (0, 1), None)
+    return zero - top
 
 
 def test_cyclotomic_filter_divides_only_where_phi_d_at_plus_minus_one_allows(monkeypatch):
@@ -1540,7 +1577,8 @@ def test_jumps_match_the_two_cos_oracle(corpus):
     for a in matrices + [a.mirror() for a in matrices]:
         d = _in_u(_in_two_cos(a.alexander.a0, a.alexander.higher))
         seq = _sturm(d)
-        want = (seq, _roots_upto(seq, None), len(seq[0]) == len(d), knots._variations(seq, (0, 1))[0])
+        zero, top = knots._variations(seq, (0, 1), None)
+        want = (seq, zero - top, len(seq[0]) == len(d), zero)
         assert _jumps(a) == want, a.entries
 
 
@@ -1611,5 +1649,6 @@ def test_integer_sturm_matches_fraction_oracle(corpus):
         points += [Fraction(rng.randint(1, 400), rng.randint(1, 40)) for _ in range(8)]
         for x in points:
             x = x if x is None else x.as_integer_ratio()
-            assert _roots_upto(seq, x) == _roots_upto(want, x), (p, x)
+            (zero, upto), (want_zero, want_upto) = (knots._variations(s, (0, 1), x) for s in (seq, want))
+            assert zero - upto == want_zero - want_upto, (p, x)
     assert repeated >= 40 and odd_multiplier >= 5
