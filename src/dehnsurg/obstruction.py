@@ -83,9 +83,10 @@ class KnotRecord(Value):
 
     The Alexander polynomial is given, or None: then it and Delta''(1) are
     taken from the Seifert matrix on first read, and a record with neither
-    raises ValueError.  Seifert and knot Floer data are optional, as are
-    the tau/nu annotations used for cross-checks.  Only Delta = 1 can be
-    marked trivial, which __init__ checks by reading Delta."""
+    raises ValueError, as does a given one that differs from the Seifert
+    matrix's.  Seifert and knot Floer data are optional, as are the tau/nu
+    annotations used for cross-checks.  Only Delta = 1 can be marked
+    trivial, which __init__ checks by reading Delta."""
 
     _fields = ("name", "alexander", "seifert", "hf", "ambient", "tau", "nu", "trivial")
 
@@ -112,6 +113,11 @@ class KnotRecord(Value):
         object.__setattr__(self, "tau", tau)
         object.__setattr__(self, "nu", nu)
         object.__setattr__(self, "trivial", trivial)
+        if alexander is not None and seifert is not None and alexander != seifert.alexander:
+            raise ValueError(
+                f"alexander polynomial {alexander} does not match the one "
+                f"derived from the Seifert matrix, {seifert.alexander}"
+            )
         if trivial and self.alexander.degree:
             raise ValueError(f"'trivial' is true but the Alexander polynomial is {self.alexander}, not 1")
 
@@ -430,6 +436,11 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _int_list(value) -> bool:
+    """A JSON list of integers."""
+    return isinstance(value, list) and all(map(_is_int, value))
+
+
 def _parse_fraction(value) -> Fraction:
     if isinstance(value, str) or _is_int(value):
         return Fraction(value)
@@ -437,11 +448,19 @@ def _parse_fraction(value) -> Fraction:
 
 
 _RECORD_KEYS = ("name", "seifert_matrix", "alexander", "hf", "tau", "nu", "lambda_ambient", "ambient", "trivial")
+_HF_KEYS = ("g", "a", "v_threshold")
 
 
 def _record_from_dict(raw: dict, context: str) -> KnotRecord:
     def fail(msg):
         raise ValueError(f"{context}: {msg}")
+
+    def build(prefix, make, *args):
+        """make(*args), or one error naming the record, prefix and the reason."""
+        try:
+            return make(*args)
+        except (ValueError, ZeroDivisionError) as e:
+            fail(f"{prefix}{e}")
 
     def refuse_unknown_keys(spec, allowed, prefix):
         for key in spec:  # file order, so the key named does not depend on hash seeds
@@ -457,14 +476,9 @@ def _record_from_dict(raw: dict, context: str) -> KnotRecord:
     seifert = None
     if "seifert_matrix" in raw:
         rows = raw["seifert_matrix"]
-        if not isinstance(rows, list) or not all(
-            isinstance(row, list) and all(map(_is_int, row)) for row in rows
-        ):
+        if not isinstance(rows, list) or not all(map(_int_list, rows)):
             fail("bad seifert_matrix: need a list of rows of integers")
-        try:
-            seifert = SeifertMatrix(rows)
-        except ValueError as e:
-            fail(f"bad seifert_matrix: {e}")
+        seifert = build("bad seifert_matrix: ", SeifertMatrix, rows)
     alexander = None
     if "alexander" in raw:
         spec = raw["alexander"]
@@ -472,35 +486,24 @@ def _record_from_dict(raw: dict, context: str) -> KnotRecord:
             fail("bad alexander polynomial: need an object with an 'a0' entry")
         refuse_unknown_keys(spec, ("a0", "a"), "bad alexander polynomial: ")
         a0, higher = spec["a0"], spec.get("a", [])
-        if not _is_int(a0) or not isinstance(higher, list) or not all(map(_is_int, higher)):
+        if not _is_int(a0) or not _int_list(higher):
             fail("bad alexander polynomial: 'a0' must be an integer and 'a' a list of integers")
-        try:
-            alexander = SymLaurentPoly(a0, higher)
-        except ValueError as e:
-            fail(f"bad alexander polynomial: {e}")
+        alexander = build("bad alexander polynomial: ", SymLaurentPoly, a0, higher)
     if seifert is None and alexander is None:
         fail("need at least one of 'seifert_matrix' or 'alexander'")
-    if seifert is not None and alexander is not None and alexander != seifert.alexander:
-        fail(
-            f"alexander polynomial {alexander} does not match the one "
-            f"derived from the Seifert matrix, {seifert.alexander}"
-        )
     hf = None
     if "hf" in raw:
         spec = raw["hf"]
         if not isinstance(spec, dict):
             fail("bad hf data: need a JSON object")
-        refuse_unknown_keys(spec, ("g", "a", "v_threshold"), "bad hf data: ")
-        ranks = spec.get("a", [])
+        refuse_unknown_keys(spec, _HF_KEYS, "bad hf data: ")
         scalars = [spec[key] for key in ("g", "v_threshold") if key in spec]
-        if not all(map(_is_int, scalars)) or not isinstance(ranks, list) or not all(map(_is_int, ranks)):
+        if not all(map(_is_int, scalars)) or not _int_list(spec.get("a", [])):
             fail("bad hf data: 'g' and 'v_threshold' must be integers and 'a' a list of integers")
-        try:
-            hf = KnotFloerData(spec["g"], spec["a"], spec["v_threshold"])
-        except KeyError as e:
-            fail(f"bad hf data: hf data missing key {e}")
-        except ValueError as e:
-            fail(f"bad hf data: {e}")
+        missing = [key for key in _HF_KEYS if key not in spec]
+        if missing:
+            fail(f"bad hf data: hf data missing key {missing[0]!r}")
+        hf = build("bad hf data: ", KnotFloerData, *map(spec.get, _HF_KEYS))
     tau = raw.get("tau")
     nu = raw.get("nu")
     for key, value in (("tau", tau), ("nu", nu)):
@@ -518,26 +521,20 @@ def _record_from_dict(raw: dict, context: str) -> KnotRecord:
             fail(f"declared nu = {nu} but the hf data has nu = {model_nu}")
         if tau is not None and model_nu not in (tau, tau + 1):
             fail(f"nu = {model_nu} violates the bracket {{tau, tau+1}} for tau = {tau}")
-    try:
-        lam = _parse_fraction(raw.get("lambda_ambient", 0))
-    except (ValueError, ZeroDivisionError) as e:
-        fail(f"bad lambda_ambient: {e}")
+    lam = build("bad lambda_ambient: ", _parse_fraction, raw.get("lambda_ambient", 0))
     # lambda is -2 times Casson's integer invariant of the ambient integral
     # homology sphere, so any other value describes no ambient at all.
     if lam.denominator != 1 or lam.numerator % 2:
         fail(f"bad lambda_ambient: need an even integer for an integral homology sphere, got {lam}")
     ambient = AmbientData(lam, ambient_name)
-    try:
-        return KnotRecord(name, alexander, seifert, hf, ambient, tau, nu, trivial)
-    except ValueError as e:
-        fail(e)
+    return build("", KnotRecord, name, alexander, seifert, hf, ambient, tau, nu, trivial)
 
 
 def load_knots(path) -> list[KnotRecord]:
     """Load and validate a JSON list of knot records."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except ValueError as e:  # bad UTF-8 or JSON, or an integer past the interpreter's digit limit
         raise ValueError(f"{path}: not valid JSON: {e}") from None
     except RecursionError:
         raise ValueError(f"{path}: JSON nested too deeply to load") from None

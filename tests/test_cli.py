@@ -1,3 +1,4 @@
+import copy
 import csv
 import hashlib
 import io
@@ -5,9 +6,11 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import time
+from collections import Counter
 from itertools import combinations
 from pathlib import Path
 
@@ -16,7 +19,7 @@ import pytest
 import dehnsurg as ds
 from dehnsurg import cli, knots, obstruction
 from dehnsurg.cli import main
-from test_knots import random_seifert
+from seifert import random_seifert
 from test_obstruction import SWEEP_CSV_SHA256
 
 CORPUS = str(ds.bundled_corpus_path())
@@ -426,6 +429,21 @@ def test_undecodable_corpus_exits_1(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no limit on integer digits")
+def test_over_long_integer_in_corpus_exits_1(tmp_path, capsys):
+    corpus = tmp_path / "long.json"
+    corpus.write_text('[{"name": "k", "alexander": {"a0": ' + "1" * 5000 + "}}]")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # the default, which the environment may have changed
+    try:
+        code, out, err = run(capsys, "alexander", "--knot", str(corpus), "--name", "k")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {corpus}: not valid JSON: Exceeds the limit ")
+    assert err.count("\n") == 1
+
+
 def test_unknown_name_exits_1(capsys, tmp_path):
     # Every command finds its record through the one lookup, and its one
     # error line names the records on file.
@@ -645,6 +663,96 @@ def test_loading_validates_every_record_not_only_the_queried_one(tmp_path, capsy
     assert err == f"error: {corpus}: record 1 (second): {message}\n"
 
 
+# Values a mutated field takes: wrong JSON types, integers out of range,
+# strings that are or are not fractions.
+JUNK = (None, True, False, 0, 1, -3, 2**70, 1.5, "", "x", "1/0", "2/3", [], [1, "1"], {}, {"a0": 1})
+
+
+def _mutate_spec(rng, spec, keys):
+    """One fault in an object of the record (hf or alexander): a key
+    dropped, retyped or added, or one entry of a list changed."""
+    key = rng.choice(keys)
+    kind = rng.randrange(4)
+    if kind == 0:
+        spec.pop(key, None)
+    elif kind == 1:
+        spec[key] = rng.choice(JUNK)
+    elif kind == 2 and isinstance(spec.get(key), list) and spec[key]:
+        spec[key][rng.randrange(len(spec[key]))] += rng.choice((-2, -1, 1))
+    elif kind == 2:
+        spec[key] = rng.randint(-2, 3)
+    else:
+        spec[rng.choice(("b", "v_treshold", "g1"))] = 0
+
+
+def mutate_corpus(rng, corpus):
+    """A copy of the corpus, a list of record objects, with one fault."""
+    records = copy.deepcopy(corpus)
+    i = rng.randrange(len(records))
+    record = records[i]
+    kind = rng.randrange(8)
+    if kind == 0:
+        del record[rng.choice(list(record))]
+    elif kind == 1:
+        keys = list(record) + ["tau", "nu", "trivial", "ambient", "lambda_ambient", "lambda_ambeint"]
+        record[rng.choice(keys)] = rng.choice(JUNK)
+    elif kind == 2:
+        _mutate_spec(rng, record.setdefault("hf", {"g": 0, "a": [1], "v_threshold": 0}), ("g", "a", "v_threshold"))
+    elif kind == 3:
+        _mutate_spec(rng, record.setdefault("alexander", {"a0": 1}), ("a0", "a"))
+    elif kind == 4 and record.get("seifert_matrix"):
+        rows = record["seifert_matrix"]
+        j = rng.randrange(len(rows))
+        choice = rng.randrange(4)
+        if choice == 0:
+            rows[j][rng.randrange(len(rows[j]))] += rng.choice((-1, 1))
+        elif choice == 1:
+            rows[j][rng.randrange(len(rows[j]))] = rng.choice(JUNK)
+        elif choice == 2:
+            del rows[j]
+        else:
+            rows[j].append(0)
+    elif kind == 4:
+        record["seifert_matrix"] = rng.choice(([[0]], [[0, 1], [0, 0]], [[0, 2], [0, 0]], [[]], "[]", [1]))
+    elif kind == 5:
+        record["lambda_ambient"] = rng.choice(("1/0", "0/0", "2", "-4", "1/2", "3", "x", "", 1, -2, 0.5, True))
+    elif kind == 6:
+        records.insert(rng.randrange(len(records) + 1), copy.deepcopy(record))
+    else:
+        records[i] = rng.choice(JUNK)
+    return records
+
+
+def test_malformed_corpora_give_one_error_line_and_never_a_traceback(tmp_path, capsys):
+    # Each seeded mutation of the bundled corpus either sweeps (exit 0, or
+    # exit 1 with the inconclusive count) or exits 1 with one error line
+    # that names the file; an exception other than those cli.main turns
+    # into that line fails the test.
+    corpus = json.loads(Path(CORPUS).read_text())
+    rng = random.Random(36)
+    path, out = tmp_path / "mutated.json", str(tmp_path / "r.csv")
+    outcomes = Counter()
+    for _ in range(1000):
+        mutated = mutate_corpus(rng, corpus)
+        path.write_text(json.dumps(mutated))
+        code, _, err = run(capsys, "sweep", "--knot", str(path), "--pmax", "2", "--qmax", "2", "--out", out)
+        if code == 0:
+            assert err == "", mutated
+            outcomes["swept"] += 1
+            continue
+        lines = err.splitlines()
+        assert code == 1 and len(lines) == 1, (mutated, err)
+        if lines[0].startswith("inconclusive on nontrivial records: "):
+            outcomes["inconclusive"] += 1
+        else:
+            assert lines[0].startswith(f"error: {path}: "), (mutated, err)
+            fault = re.sub(r"^record \d+ \(.*?\): ", "", lines[0][len(f"error: {path}: ") :])
+            outcomes[re.sub(r"-?\d+", "N", fault)] += 1
+    # Every kind of outcome is reached, and the errors name many faults.
+    assert outcomes["swept"] and outcomes["inconclusive"], outcomes
+    assert len(outcomes) > 30, outcomes
+
+
 @pytest.mark.parametrize("box", sorted(SWEEP_CSV_SHA256))
 def test_sweep_cli_writes_the_pinned_bytes(tmp_path, capsys, box):
     out = tmp_path / "r.csv"
@@ -818,3 +926,22 @@ def test_cone_oracle_memory_does_not_grow_with_q():
     assert out == "oracle=600015 formula=600015"
     peak_mb = int(maxrss) / (2**20 if sys.platform == "darwin" else 2**10)
     assert peak_mb < 32, f"peak RSS {peak_mb:.1f} MB"
+
+
+def test_test_modules_import_without_numpy():
+    # Only test_knots needs numpy; these modules take their Seifert matrices
+    # from tests/seifert.py and tests/torus.py, so they collect without it.
+    tests = Path(__file__).resolve().parent
+    src = str(Path(ds.__file__).resolve().parent.parent)
+    code = (
+        "import sys\n"
+        "sys.modules['numpy'] = None  # any import of numpy now raises ImportError\n"
+        "import test_cli, test_obstruction, test_torus, test_hfcone\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join((src, str(tests)))},
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr

@@ -54,28 +54,13 @@ from dehnsurg.knots import (
     _trim,
     cyclotomic_polynomial,
 )
+from seifert import block_sum, random_seifert
 from torus import litherland_sigma_total, torus_seifert
 
 TREFOIL = SeifertMatrix([[-1, 1], [0, -1]])
 FIGURE_EIGHT = SeifertMatrix([[1, 1], [0, -1]])
 UNKNOT = SeifertMatrix([])
 TORUS_2_5 = SeifertMatrix([[-1, 1, 0, 0], [0, -1, 1, 0], [0, 0, -1, 1], [0, 0, 0, -1]])
-
-
-def random_seifert(rng, genus):
-    """Random valid Seifert pairing: fixed standard skew part plus an
-    arbitrary symmetric integer matrix."""
-    n = 2 * genus
-    a = [[0] * n for _ in range(n)]
-    for b in range(genus):
-        a[2 * b][2 * b + 1] = 1  # skew part is the standard symplectic form
-    for i in range(n):
-        for j in range(i, n):
-            s = rng.randint(-2, 2)
-            a[i][j] += s
-            if j != i:
-                a[j][i] += s
-    return SeifertMatrix(a)
 
 
 def cofactor_det(rows):
@@ -551,16 +536,6 @@ def test_sigma_total_builds_no_fraction_on_staircases(corpus_by_name, clear_cach
             except SingularValueError:
                 pass
             assert fraction_calls == [], (name, m)
-
-
-def block_sum(*matrices):
-    """Seifert matrix of the connected sum: the block-diagonal sum."""
-    n = sum(a.size for a in matrices)
-    rows, offset = [], 0
-    for a in matrices:
-        rows += [[0] * offset + list(row) + [0] * (n - offset - a.size) for row in a.entries]
-        offset += a.size
-    return SeifertMatrix(rows)
 
 
 def signature_test_matrices(corpus):

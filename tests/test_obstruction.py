@@ -45,7 +45,7 @@ from dehnsurg.knots import (
 from dehnsurg.obstruction import _STAGES, SweepRow, _check_pair, _stages
 from dehnsurg.surgery import casson_gordon_surgered, casson_walker_surgered
 from conftest import reduced_slopes
-from test_knots import random_seifert
+from seifert import random_seifert
 
 
 def slope_pairs_same_p(p_max, q_max):
@@ -874,6 +874,24 @@ def test_load_knots_error_reporting(tmp_path):
 
     bad.write_text("[]")
     assert load_knots(bad) == []
+
+
+def test_a_record_refuses_an_alexander_polynomial_its_seifert_matrix_does_not_give(corpus):
+    # The record checks a given Delta itself, so records built through the
+    # API are refused as the loader's are, with the loader's words.
+    trefoil = ds.SeifertMatrix([[-1, 1], [0, -1]])
+    with pytest.raises(ValueError) as info:
+        KnotRecord("x", SymLaurentPoly(3, (-1,)), trefoil)
+    assert str(info.value) == (
+        "alexander polynomial -T + 3 - T^-1 does not match the one derived from the Seifert matrix, T - 1 + T^-1"
+    )
+    record = KnotRecord("x", SymLaurentPoly(-1, (1,)), trefoil)
+    with pytest.raises(ValueError, match="does not match"):
+        replace(record, alexander=SymLaurentPoly(3, (-1,)))
+    # Each mirror is rebuilt through __init__ against its mirrored matrix.
+    for record in corpus:
+        mirrored = mirror_record(record)
+        assert (mirrored.alexander, mirrored.delta2) == (record.alexander, record.delta2), record.name
 
 
 @pytest.mark.parametrize(
